@@ -29,8 +29,9 @@ methodology.
 The report is *append-only over time*: every run adds one entry to the
 ``trajectory`` list (``{commit, date, mode, pruning, suites}``) while
 the top-level fields always describe the latest run.  ``--no-prune``
-runs the exact-solve suites with every search-space reduction disabled
-(incumbent bound, active-SWAP restriction, symmetry quotient) — the
+runs the exact-solve suites with the switchable search-space
+reductions disabled (incumbent bound, active-SWAP restriction, symmetry
+quotient; closed dominance and root restriction always run) — the
 "before" point the pruned default is compared against; ``repro
 bench-trend`` tabulates the whole trajectory.
 
@@ -58,7 +59,7 @@ from repro.arch import grid, lnn
 from repro.circuit import uniform_latency
 from repro.circuit.generators import qft_skeleton, random_circuit
 from repro.core import HeuristicMapper, OptimalMapper, SearchBudgetExceeded
-from repro.core.kernels import resolve_backend
+from repro.core.kernels import BACKEND_NAMES, resolve_backend
 
 #: Throughput of the QFT-8/LNN exact microbench measured immediately
 #: before the hot-path overhaul landed, with this script's methodology
@@ -119,8 +120,9 @@ def _run_exact_solve(num_qubits: int, arch, iterations: int,
                      pruned: bool, kernel: Optional[str]) -> Dict:
     """Mode-2 exact solve (placement + routing) run to optimality.
 
-    ``pruned`` toggles the whole search-space-reduction layer at once
-    (incumbent bound, active-SWAP restriction, symmetry quotient); the
+    ``pruned`` toggles the switchable search-space reductions at once
+    (incumbent bound, active-SWAP restriction, symmetry quotient;
+    closed dominance and root restriction always run); the
     resulting ``nodes_expanded`` is deterministic either way, which is
     what lets CI gate on it.
     """
@@ -155,15 +157,17 @@ def _run_exact_solve(num_qubits: int, arch, iterations: int,
 
 def _run_portfolio_solve(num_qubits: int, arch, iterations: int,
                          kernel: Optional[str]) -> Dict:
-    """Portfolio race to a proven optimum, against the seeded baseline.
+    """Portfolio race to a proven optimum, against the plain exact search.
 
-    Records the before/after node counts the portfolio work is judged
-    by: ``baseline_nodes_expanded`` is the incumbent-seeded exact search
-    (the pre-portfolio configuration), ``nodes_expanded`` the portfolio
-    exact lane with every bound on.  Both are deterministic — the held
-    seed is offered before the exact lane starts and the side lanes
-    never beat it on these instances — so ``bench-trend --check`` gates
-    on the node count as tightly as on the other solve suites.
+    ``baseline_nodes_expanded`` is the incumbent-seeded ``OptimalMapper``
+    run and ``nodes_expanded`` the portfolio's exact lane.  Both run the
+    same exact configuration (closed dominance and root restriction
+    on), so the difference is what the race itself earns: the lane is
+    bounded by the portfolio's held seed and by side-lane depths instead
+    of its own seed.  Both counts are deterministic — the held seed is
+    offered before the exact lane starts and the side lanes never beat
+    it on these instances — so ``bench-trend --check`` gates on the node
+    count as tightly as on the other solve suites.
     """
     from repro.analysis.portfolio import PortfolioMapper
 
@@ -380,12 +384,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--no-prune", action="store_true",
-        help="run the exact-solve suites with every search-space "
-             "reduction disabled (the 'before' trajectory point)",
+        help="run the exact-solve suites with the switchable "
+             "search-space reductions disabled (the 'before' trajectory "
+             "point)",
     )
     parser.add_argument(
         "--kernel", default=None,
-        choices=["pure", "vector", "compiled"],
+        choices=BACKEND_NAMES,
         help="kernel backend for every suite (default: best available); "
              "the resolved backend is recorded per trajectory entry and "
              "bench-trend only compares entries of the same backend",

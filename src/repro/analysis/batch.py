@@ -73,6 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.circuit import Circuit
 from ..core.astar import SearchBudgetExceeded
+from ..core.bounds import root_mapping_allowed, root_restriction_pairs
 from ..core.warmcache import WarmCachePool
 from ..core.result import MappingResult
 from ..obs.events import SearchProgressEvent
@@ -808,8 +809,6 @@ _FANOUT_SUM_KEYS = (
     "incumbent_updates",
     "swaps_restricted",
     "symmetry_pruned",
-    "pruned_by_assignment_lb",
-    "pruned_by_layer_weight",
     "root_candidates_restricted",
     "closed_dominated",
 )
@@ -1017,23 +1016,20 @@ def map_mode2_fanout(
         # Orbit-mates dropped during root enumeration — the fan-out's
         # analogue of the serial prefix quotient.
         trace.prune(PRUNE_SYMMETRY, count=sym_counters["symmetry_pruned"])
+    # Burgholzer-style candidate restriction (repro.core.bounds): a root
+    # placing no dependency-free pair on an edge cannot begin an optimal
+    # schedule.  The enumeration above already covers every
+    # prefix-reachable mapping, so dropping a root here loses nothing the
+    # serial search's kept-prefix expansion would have found.
     root_restricted = 0
-    if getattr(mapper, "root_restriction", False):
-        # Burgholzer-style candidate restriction (repro.core.bounds): a
-        # root placing no dependency-free pair on an edge cannot begin an
-        # optimal schedule.  The enumeration above already covers every
-        # prefix-reachable mapping, so dropping a root here loses nothing
-        # the serial search's kept-prefix expansion would have found.
-        from ..core.bounds import root_mapping_allowed, root_restriction_pairs
-        pairs = root_restriction_pairs(problem)
-        if pairs is not None:
-            kept = [m for m in mappings
-                    if root_mapping_allowed(problem, m, pairs)]
-            if kept:  # all-restricted would leave nothing to certify with
-                root_restricted = len(mappings) - len(kept)
-                mappings = kept
-            if root_restricted and trace is not None:
-                trace.prune(PRUNE_ROOT_RESTRICTION, count=root_restricted)
+    pairs = root_restriction_pairs(problem)
+    if pairs is not None:
+        kept = [m for m in mappings if root_mapping_allowed(problem, m, pairs)]
+        if kept:  # all-restricted would leave nothing to certify with
+            root_restricted = len(mappings) - len(kept)
+            mappings = kept
+        if root_restricted and trace is not None:
+            trace.prune(PRUNE_ROOT_RESTRICTION, count=root_restricted)
     workers = _default_workers() if max_workers is None else max_workers
     workers = max(1, min(workers, len(mappings)))
     _write_fleet_meta(fleet_spec, total_tasks=len(mappings),

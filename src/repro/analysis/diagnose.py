@@ -35,6 +35,7 @@ from ..obs.trace import (
     EV_SUMMARY,
     REASON_TO_STAT,
 )
+from .runs import DEFAULT_MAX_NODE_RATIO, DEFAULT_MIN_RATE_RATIO
 
 #: Stat keys a trace's per-record stream can be reconciled against.
 RECONCILED_STATS = (
@@ -45,8 +46,6 @@ RECONCILED_STATS = (
     "killed",
     "swaps_restricted",
     "symmetry_pruned",
-    "pruned_by_assignment_lb",
-    "pruned_by_layer_weight",
     "root_candidates_restricted",
     "closed_dominated",
 )
@@ -414,10 +413,10 @@ def render_report(report: Dict) -> str:
 
 def check_trend(
     report: Dict,
-    max_node_ratio: float = 1.05,
+    max_node_ratio: float = DEFAULT_MAX_NODE_RATIO,
     max_time_ratio: float = 3.0,
     min_time_floor: float = 0.1,
-    min_throughput_ratio: float = 0.67,
+    min_throughput_ratio: float = DEFAULT_MIN_RATE_RATIO,
 ) -> Tuple[bool, List[str]]:
     """Compare the newest trajectory entry against its best predecessors.
 

@@ -11,9 +11,9 @@ incumbent protocol the mode-2 fan-out already speaks:
   validate_result`) and publishes the depth into the shared bound, which
   the exact lane polls every ``_SHARED_BOUND_POLL`` expansions — a lane
   result *immediately* tightens the exact search's f-prune;
-* the **exact** lane runs in the calling thread with every
-  literature-grade bound of :mod:`repro.core.bounds` switched on and the
-  portfolio's anytime ``deadline`` installed.
+* the **exact** lane runs :class:`~repro.core.astar.OptimalMapper` in
+  the calling thread with the portfolio's anytime ``deadline``
+  installed.
 
 The racy composition stays *anytime and exact*: at any deadline the best
 validated lane schedule is returned (``optimal=False``), and when the
@@ -78,8 +78,6 @@ _EXACT_HOISTED_KEYS = (
     "memo_hits",
     "memo_misses",
     "pruned_by_bound",
-    "pruned_by_assignment_lb",
-    "pruned_by_layer_weight",
     "root_candidates_restricted",
     "closed_dominated",
     "incumbent_updates",
@@ -138,12 +136,6 @@ class PortfolioMapper:
         search_initial_mapping: Mode 2 for the exact lane when no initial
             mapping is given (the portfolio default — lanes that place
             their own qubits make little sense in mode 1).
-        assignment_bound / layer_bound / root_restriction /
-        closed_dominance: The literature-grade exact-lane bounds
-            (:mod:`repro.core.bounds`) and the closed-entry dominance
-            extension (:mod:`repro.core.filters`); all default **on**
-            here — the portfolio exists to close exact runs fast — while
-            staying off in ``OptimalMapper`` itself.
         seed_incumbent: Compute one heuristic seed schedule up front,
             publish its depth, and hold it as a fallback result.  The
             exact lane's own seeding is disabled in favour of this held
@@ -167,10 +159,6 @@ class PortfolioMapper:
         max_nodes: Optional[int] = None,
         max_seconds: Optional[float] = None,
         search_initial_mapping: bool = True,
-        assignment_bound: bool = True,
-        layer_bound: bool = True,
-        root_restriction: bool = True,
-        closed_dominance: bool = True,
         seed_incumbent: bool = True,
         sabre_seed: int = 0,
         sabre_passes: int = 3,
@@ -192,10 +180,6 @@ class PortfolioMapper:
         self.max_nodes = max_nodes
         self.max_seconds = max_seconds
         self.search_initial_mapping = search_initial_mapping
-        self.assignment_bound = assignment_bound
-        self.layer_bound = layer_bound
-        self.root_restriction = root_restriction
-        self.closed_dominance = closed_dominance
         self.seed_incumbent = seed_incumbent
         self.sabre_seed = sabre_seed
         self.sabre_passes = sabre_passes
@@ -227,10 +211,6 @@ class PortfolioMapper:
             # Mode-2 fan-out builds a private SharedBound, which would cut
             # the lane off from the portfolio's; keep the lane serial.
             mode2_workers=None,
-            assignment_bound=self.assignment_bound,
-            layer_bound=self.layer_bound,
-            root_restriction=self.root_restriction,
-            closed_dominance=self.closed_dominance,
             kernel=self.kernel,
             telemetry=self.telemetry,
         )

@@ -43,6 +43,7 @@ import argparse
 import sys
 from typing import Optional
 
+from .analysis.runs import DEFAULT_MAX_NODE_RATIO, DEFAULT_MIN_RATE_RATIO
 from .arch import architecture_names, by_name
 from .baselines import (
     OlsqStyleMapper,
@@ -63,6 +64,7 @@ from .circuit import (
 )
 from .circuit.generators import qft_skeleton, random_circuit
 from .core import HeuristicMapper, OptimalMapper, SearchBudgetExceeded
+from .core.kernels import BACKEND_NAMES
 from .obs import JsonlSink, Telemetry, TraceRecorder
 from .verify import validate_result
 
@@ -89,26 +91,6 @@ def _load_circuit(spec: str) -> Circuit:
     return load_qasm_file(spec)
 
 
-#: The four literature-grade pruning levers shared by ``optimal`` and
-#: ``portfolio``: mapper keyword → CLI attribute.  Tri-state flags
-#: (``--X`` / ``--no-X`` / absent), so each mapper keeps its own default
-#: (all off for ``optimal``, all on for ``portfolio``) unless overridden.
-_BOUND_FLAGS = {
-    "assignment_bound": "assignment_bound",
-    "layer_bound": "layer_bound",
-    "root_restriction": "root_restriction",
-    "closed_dominance": "closed_dominance",
-}
-
-
-def _bound_kwargs(args, default: bool) -> dict:
-    kwargs = {}
-    for keyword, attr in _BOUND_FLAGS.items():
-        value = getattr(args, attr, None)
-        kwargs[keyword] = default if value is None else value
-    return kwargs
-
-
 def _build_mapper(name: str, coupling, latency: LatencyModel, args,
                   telemetry: Optional[Telemetry] = None):
     if name == "optimal":
@@ -129,7 +111,6 @@ def _build_mapper(name: str, coupling, latency: LatencyModel, args,
             mode2_workers=getattr(args, "mode2_workers", None),
             telemetry=telemetry,
             kernel=getattr(args, "kernel", None),
-            **_bound_kwargs(args, default=False),
         )
     if name == "portfolio":
         from .analysis.portfolio import PortfolioMapper
@@ -154,7 +135,6 @@ def _build_mapper(name: str, coupling, latency: LatencyModel, args,
             sabre_seed=args.seed,
             telemetry=telemetry,
             kernel=getattr(args, "kernel", None),
-            **_bound_kwargs(args, default=True),
         )
     if name == "heuristic":
         return HeuristicMapper(
@@ -343,8 +323,6 @@ def _map_run_config(args, circuit, coupling, latency) -> dict:
             args, "no_symmetry_reduction", False
         ),
     }
-    for keyword, attr in _BOUND_FLAGS.items():
-        config[keyword] = getattr(args, attr, None)
     if args.mapper == "portfolio":
         config["portfolio_lanes"] = getattr(args, "portfolio_lanes", None)
     return config
@@ -1197,31 +1175,6 @@ def build_parser() -> argparse.ArgumentParser:
              "coupling-graph automorphism (ablation)",
     )
     map_cmd.add_argument(
-        "--assignment-bound", action=argparse.BooleanOptionalAction,
-        default=None,
-        help="assignment-relaxation lower bound on suffix work "
-             "(default: off for optimal, on for portfolio)",
-    )
-    map_cmd.add_argument(
-        "--layer-bound", action=argparse.BooleanOptionalAction,
-        default=None,
-        help="layer-weight capacity lower bound "
-             "(default: off for optimal, on for portfolio)",
-    )
-    map_cmd.add_argument(
-        "--root-restriction", action=argparse.BooleanOptionalAction,
-        default=None,
-        help="mode-2 root restriction: skip real-schedule roots placing "
-             "no ready 2-qubit gate on an edge "
-             "(default: off for optimal, on for portfolio)",
-    )
-    map_cmd.add_argument(
-        "--closed-dominance", action=argparse.BooleanOptionalAction,
-        default=None,
-        help="let closed filter entries dominate non-descendant "
-             "newcomers (default: off for optimal, on for portfolio)",
-    )
-    map_cmd.add_argument(
         "--portfolio-lanes", default="exact,heuristic,sabre",
         metavar="LANES",
         help="comma-separated portfolio lanes "
@@ -1238,9 +1191,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     map_cmd.add_argument(
         "--kernel", default=None,
-        choices=["pure", "vector", "compiled"],
+        choices=BACKEND_NAMES,
         help="kernel backend for the search hot path (default: best "
-             "available — compiled > vector > pure)",
+             "available — compiled > pure)",
     )
     map_cmd.add_argument("--seed", type=int, default=0)
     map_cmd.add_argument("--max-ops", type=int, default=60)
@@ -1352,9 +1305,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_cmd.add_argument(
         "--kernel", default=None,
-        choices=["pure", "vector", "compiled"],
+        choices=BACKEND_NAMES,
         help="kernel backend for the search hot path (default: best "
-             "available — compiled > vector > pure)",
+             "available — compiled > pure)",
     )
     batch_cmd.add_argument("--seed", type=int, default=0)
     batch_cmd.add_argument("--json-out", default=None,
@@ -1450,7 +1403,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="per-circuit wall-clock budget (s)")
     corpus_cmd.add_argument(
         "--kernel", default=None,
-        choices=["pure", "vector", "compiled"],
+        choices=BACKEND_NAMES,
         help="kernel backend for the search hot path",
     )
     corpus_cmd.add_argument(
@@ -1526,7 +1479,7 @@ def build_parser() -> argparse.ArgumentParser:
              "of the same configuration; exit 1 on regression",
     )
     trend_cmd.add_argument(
-        "--max-node-ratio", type=float, default=1.05,
+        "--max-node-ratio", type=float, default=DEFAULT_MAX_NODE_RATIO,
         help="--check: fail when nodes_expanded exceeds this multiple "
              "of the best prior entry",
     )
@@ -1536,7 +1489,8 @@ def build_parser() -> argparse.ArgumentParser:
              "the best prior entry (priors under 0.1s never gate)",
     )
     trend_cmd.add_argument(
-        "--min-throughput-ratio", type=float, default=0.67,
+        "--min-throughput-ratio", type=float,
+        default=DEFAULT_MIN_RATE_RATIO,
         help="--check: fail when a fleet suite's circuits_per_min drops "
              "below this fraction of the best prior entry",
     )
@@ -1594,12 +1548,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _runs_common(runs_reg)
     runs_reg.add_argument(
-        "--max-node-ratio", type=float, default=1.05,
+        "--max-node-ratio", type=float, default=DEFAULT_MAX_NODE_RATIO,
         help="flag runs expanding more than this multiple of the best "
              "same-fingerprint predecessor's nodes",
     )
     runs_reg.add_argument(
-        "--min-rate-ratio", type=float, default=0.67,
+        "--min-rate-ratio", type=float, default=DEFAULT_MIN_RATE_RATIO,
         help="flag runs below this fraction of the best predecessor's "
              "nodes/sec (runs under 0.1s never gate)",
     )

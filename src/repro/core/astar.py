@@ -43,9 +43,7 @@ from ..obs.schema import (
     STAT_INCUMBENT_UPDATES,
     STAT_KERNEL_BACKEND,
     STAT_CLOSED_DOMINATED,
-    STAT_PRUNED_BY_ASSIGNMENT,
     STAT_PRUNED_BY_BOUND,
-    STAT_PRUNED_BY_LAYER_WEIGHT,
     STAT_ROOT_RESTRICTED,
     STAT_SWAPS_RESTRICTED,
     STAT_SYMMETRY_PRUNED,
@@ -56,10 +54,8 @@ from ..obs.trace import (
     INCUMBENT_SEED,
     INCUMBENT_SHARED,
     INCUMBENT_TERMINAL,
-    PRUNE_ASSIGNMENT_LB,
     PRUNE_IDEAL_DEPTH,
     PRUNE_INCUMBENT_BOUND,
-    PRUNE_LAYER_WEIGHT,
     PRUNE_ROOT_RESTRICTION,
     PRUNE_SYMMETRY,
 )
@@ -70,12 +66,7 @@ from ..obs.tracer import (
     SPAN_PREFIX,
     SPAN_SEARCH,
 )
-from .bounds import (
-    assignment_lb,
-    layer_weight_lb,
-    root_mapping_allowed,
-    root_restriction_pairs,
-)
+from .bounds import root_mapping_allowed, root_restriction_pairs
 from .expander import OPTIMAL_EXPANSION, PRUNED_OPTIMAL_EXPANSION, expand
 from .filters import StateFilter
 from .gcpause import pause_gc
@@ -342,7 +333,10 @@ class OptimalMapper:
         latency: Latency model (defaults to 1 cycle/gate, 3-cycle SWAP).
         search_initial_mapping: Use mode 2 (free SWAP prefix) to also
             optimize the initial mapping.  Ignored when ``map`` is called
-            with an explicit ``initial_mapping``.
+            with an explicit ``initial_mapping``.  :meth:`map` skips the
+            real-schedule expansion of candidate mappings that place no
+            root-frontier pair on an edge
+            (:func:`repro.core.bounds.root_restriction_pairs`).
         try_swap_free_fast_path: In mode 2, first attempt a subgraph-
             monomorphism embedding of the circuit's interaction graph — the
             fast path the paper applies before the Table 2 runs.
@@ -384,27 +378,14 @@ class OptimalMapper:
             5.1.  When False the search degrades to an uninformed exact
             search guided only by the remaining critical path — the
             configuration the OLSQ-style baseline uses.
-        dominance: Enable the comparative-analysis filter (Fig. 5b); the
-            equivalence check stays on either way.
+        dominance: Enable the comparative-analysis filter (Fig. 5b),
+            where closed in-flight-free nodes also dominate newcomers
+            except under :meth:`find_all_optimal`; the equivalence check
+            stays on either way.
         memoize: Cache heuristic evaluations per run, keyed on the node's
             effective signature (pointers, post-SWAP mapping, relative
             in-flight profile).  Purely an evaluation cache — node counts
             and depths are identical with it on or off.
-        assignment_bound: Prune real nodes whose assignment-relaxation
-            work/capacity bound (:func:`repro.core.bounds.assignment_lb`)
-            meets the incumbent; counted separately as
-            ``pruned_by_assignment_lb``.
-        layer_bound: Compute the layer-weight depth floor
-            (:func:`repro.core.bounds.layer_weight_lb`) once per problem;
-            it strengthens the mode-2 prefix prune and closes the whole
-            search when the incumbent already meets it; counted as
-            ``pruned_by_layer_weight``.
-        root_restriction: In mode 2, skip the real-schedule expansion of
-            candidate initial mappings that place no root-frontier
-            two-qubit pair on an edge (loss-free for optimal depth — see
-            :func:`repro.core.bounds.root_restriction_pairs`); counted as
-            ``root_candidates_restricted``.  Never applied by
-            :meth:`find_all_optimal` (folding re-times schedules).
         telemetry: Optional observability context; ``None`` runs the
             uninstrumented fast path.
     """
@@ -428,10 +409,6 @@ class OptimalMapper:
         informed: bool = True,
         dominance: bool = True,
         memoize: bool = True,
-        assignment_bound: bool = False,
-        layer_bound: bool = False,
-        root_restriction: bool = False,
-        closed_dominance: bool = False,
         telemetry: Optional[Telemetry] = None,
         kernel: Optional[str] = None,
     ) -> None:
@@ -449,20 +426,8 @@ class OptimalMapper:
         self.informed = informed
         self.dominance = dominance
         self.memoize = memoize
-        #: Literature-grade admissible bounds (see ``core.bounds``), each
-        #: opt-in so default node counts stay bit-identical:
-        #: per-node assignment-relaxation work bound, per-problem
-        #: layer-weight depth floor, and Burgholzer-style mode-2
-        #: root-mapping restriction.
-        self.assignment_bound = assignment_bound
-        self.layer_bound = layer_bound
-        self.root_restriction = root_restriction
-        #: Let closed in-flight-free nodes dominate newcomers (see
-        #: :class:`~repro.core.filters.StateFilter`); loss-free for
-        #: optimal depth, forced off for :meth:`find_all_optimal`.
-        self.closed_dominance = closed_dominance
         self.telemetry = telemetry
-        #: Kernel backend name (``pure`` / ``vector`` / ``compiled``) or
+        #: Kernel backend name (``pure`` / ``compiled``) or
         #: ``None`` for the capability probe.  Stored as a string and
         #: resolved lazily per search so mappers stay picklable for the
         #: process-pool fan-outs.
@@ -658,10 +623,14 @@ class OptimalMapper:
         heappop = kernel.heappop
         kernel_expand = kernel.expand
         roots, prefix_mode, fast_mapping = self._roots(problem, initial_mapping)
+        # Closed-node dominance (see StateFilter) and the root-mapping
+        # restriction (see bounds.root_restriction_pairs) are loss-free
+        # for optimal depth but drop equal-depth alternatives, so the
+        # all-optima enumeration runs without both.
         state_filter = StateFilter(
             problem,
             dominance=self.dominance,
-            closed_dominance=self.closed_dominance and not find_all,
+            closed_dominance=not find_all,
             metrics=tele.metrics if enabled else None,
             trace=trace,
             kernel=kernel,
@@ -676,14 +645,8 @@ class OptimalMapper:
         # schedule from EVERY initial mapping, used to bound-prune prefix
         # nodes (whose own ``f`` is not a valid bound — see ``push``).
         ideal_lb = problem.ideal_depth() if prefix_mode else 0
-        # Opt-in literature-grade bounds (core/bounds.py).  ``layer_lb``
-        # is mapping-independent like ``ideal_lb`` but usually tighter;
-        # it is checked *after* the pre-existing prunes so each counter
-        # attributes only the kills the older rules would have missed.
-        layer_lb = layer_weight_lb(problem) if self.layer_bound else 0
-        use_assignment = self.assignment_bound
         root_pairs = None
-        if self.root_restriction and prefix_mode and not find_all:
+        if prefix_mode and not find_all:
             root_pairs = root_restriction_pairs(problem)
 
         # The active-SWAP restriction is depth-preserving but trims
@@ -723,8 +686,6 @@ class OptimalMapper:
         incumbent: Optional[MappingResult] = None
         incumbent_node: Optional[SearchNode] = None
         pruned_by_bound = 0
-        pruned_by_assignment = 0
-        pruned_by_layer = 0
         root_restricted = 0
         incumbent_updates = 0
         if self.seed_incumbent:
@@ -782,7 +743,6 @@ class OptimalMapper:
 
         def push(node: SearchNode) -> None:
             nonlocal bound, incumbent_node, pruned_by_bound, incumbent_updates
-            nonlocal pruned_by_assignment, pruned_by_layer
             f = node.f  # score() ran on the batch this node came from
             # Prefix nodes are exempt from the f-based prune: free SWAP
             # layers can still lower ``h`` by improving the mapping, so a
@@ -799,19 +759,6 @@ class OptimalMapper:
                     # hence f < bound — this prune never discards one.
                     pruned_by_bound += 1
                     return
-                # Layer-weight floor: mapping-independent, so it prunes
-                # prefix and real nodes alike; an improving terminal has
-                # time < bound <= any admissible floor — never discarded.
-                if layer_lb and (
-                    layer_lb > bound or (prune_eq and layer_lb >= bound)
-                ):
-                    pruned_by_layer += 1
-                    return
-                if use_assignment and not node.in_prefix:
-                    alb = assignment_lb(problem, node)
-                    if alb > bound or (prune_eq and alb >= bound):
-                        pruned_by_assignment += 1
-                        return
             if (
                 node.started == total_gates
                 and not node.inflight
@@ -852,7 +799,6 @@ class OptimalMapper:
             def push(node: SearchNode) -> None:  # noqa: F811 - timed variant
                 nonlocal bound, incumbent_node
                 nonlocal pruned_by_bound, incumbent_updates
-                nonlocal pruned_by_assignment, pruned_by_layer
                 with tracer.span(SPAN_HEURISTIC):
                     t0 = _time.perf_counter()
                     node.h = heuristic_cost(
@@ -866,9 +812,7 @@ class OptimalMapper:
                 f = node.time + node.h
                 node.f = f
                 # Same prune as the untimed variant: f-based for real
-                # nodes, all-to-all critical path for prefix nodes, then
-                # the opt-in bounds (attributed only when the older rules
-                # would have kept the node).
+                # nodes, all-to-all critical path for prefix nodes.
                 if bound is not None:
                     lb = ideal_lb if node.in_prefix else f
                     if lb > bound or (prune_eq and lb >= bound):
@@ -881,20 +825,6 @@ class OptimalMapper:
                                 node=node,
                             )
                         return
-                    if layer_lb and (
-                        layer_lb > bound or (prune_eq and layer_lb >= bound)
-                    ):
-                        pruned_by_layer += 1
-                        if trace is not None:
-                            trace.prune(PRUNE_LAYER_WEIGHT, node=node)
-                        return
-                    if use_assignment and not node.in_prefix:
-                        alb = assignment_lb(problem, node)
-                        if alb > bound or (prune_eq and alb >= bound):
-                            pruned_by_assignment += 1
-                            if trace is not None:
-                                trace.prune(PRUNE_ASSIGNMENT_LB, node=node)
-                            return
                 if (
                     node.started == total_gates
                     and not node.inflight
@@ -951,8 +881,6 @@ class OptimalMapper:
                 extra.setdefault("memo_hits", memo.hits)
                 extra.setdefault("memo_misses", memo.misses)
             extra.setdefault(STAT_PRUNED_BY_BOUND, pruned_by_bound)
-            extra.setdefault(STAT_PRUNED_BY_ASSIGNMENT, pruned_by_assignment)
-            extra.setdefault(STAT_PRUNED_BY_LAYER_WEIGHT, pruned_by_layer)
             extra.setdefault(STAT_ROOT_RESTRICTED, root_restricted)
             extra.setdefault(
                 STAT_CLOSED_DOMINATED, state_filter.closed_dominated
@@ -1013,27 +941,10 @@ class OptimalMapper:
                         if trace is not None:
                             trace.prune(PRUNE_IDEAL_DEPTH, node=node)
                         continue
-                    if layer_lb and (
-                        layer_lb > bound or (prune_eq and layer_lb >= bound)
-                    ):
-                        pruned_by_layer += 1
-                        if trace is not None:
-                            trace.prune(PRUNE_LAYER_WEIGHT, node=node)
-                        continue
                 elif f > bound:
                     pruned_by_bound += 1
                     if trace is not None:
                         trace.prune(PRUNE_INCUMBENT_BOUND, node=node)
-                    continue
-                elif layer_lb and (
-                    layer_lb > bound or (prune_eq and layer_lb >= bound)
-                ):
-                    # The floor binds every node equally: once the
-                    # incumbent meets it the queue drains and the dry-
-                    # queue path certifies the incumbent optimal.
-                    pruned_by_layer += 1
-                    if trace is not None:
-                        trace.prune(PRUNE_LAYER_WEIGHT, node=node)
                     continue
             if best_depth is not None and f > best_depth:
                 break

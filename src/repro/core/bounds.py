@@ -1,37 +1,18 @@
-"""Literature-grade admissible lower bounds for the exact search.
+"""Burgholzer-style root-mapping restriction for the mode-2 exact search.
 
-Three search-space reductions beyond the paper's own heuristic, each
-opt-in (``OptimalMapper(assignment_bound=..., layer_bound=...,
-root_restriction=...)``), each with a dedicated prune counter so
-``repro diagnose`` can attribute exactly which bound earns its keep:
+:func:`root_restriction_pairs` / :func:`root_mapping_allowed` implement
+candidate restriction at the root (arXiv:2112.00045): when every
+dependency-free gate is two-qubit, some optimal mode-2 schedule starts
+an original gate at cycle 0 (any SWAP starting at cycle 0 folds into
+the free prefix), so initial mappings placing no frontier pair on an
+edge need no real-schedule expansion.  The exact search applies it
+whenever it is not enumerating all optima, and counts the skipped
+candidates as ``root_candidates_restricted``.
 
-* :func:`assignment_lb` — a per-node *work/capacity* relaxation in the
-  style of the assignment-based bounds of exact branch-and-bound mappers
-  (arXiv:2508.21718): remaining gate work, in-flight occupancy and a
-  matching-based SWAP-count floor are summed in qubit-cycles and divided
-  by the machine's qubit capacity.  Complementary to §5.1's per-chain
-  critical-path ``h`` — it binds on *wide* circuits where many short
-  chains share few qubits.
-
-* :func:`layer_weight_lb` — a HAIL-style layer-weight refinement
-  (arXiv:2502.07536) computed once per problem: for every
-  dependency-forced start threshold, all the work forced to start at or
-  after it must still fit through the architecture's per-cycle gate and
-  qubit capacity.  Mapping-independent, so it both strengthens the
-  mode-2 prefix prune (``ideal_lb``) and acts as a global depth floor —
-  when a seeded incumbent already meets it, the search closes with
-  (almost) no expansions.
-
-* :func:`root_restriction_pairs` / :func:`root_mapping_allowed` —
-  Burgholzer-style candidate restriction at the root (arXiv:2112.00045):
-  when every dependency-free gate is two-qubit, some optimal mode-2
-  schedule starts an original gate at cycle 0 (any SWAP starting at
-  cycle 0 folds into the free prefix), so initial mappings placing no
-  frontier pair on an edge need no real-schedule expansion.
-
-Every derivation below argues admissibility explicitly; the property
-tests in ``tests/test_bounds.py`` cross-check each bound against
-exhaustive ``find_all_optimal`` depths on small random problems.
+The derivation below argues loss-freeness explicitly;
+``tests/test_bounds.py`` cross-checks the default search against
+exhaustive ``find_all_optimal`` depths (which never restrict) on small
+random problems.
 """
 
 from __future__ import annotations
@@ -39,158 +20,10 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .problem import MappingProblem
-from .state import K_SWAP, SearchNode
 
 #: Sentinel distinguishing "not computed yet" from a computed ``None``.
 _UNSET = object()
 
-
-# ----------------------------------------------------------------------
-# Assignment-relaxation lower bound (per node)
-# ----------------------------------------------------------------------
-
-def assignment_lb(problem: MappingProblem, node: SearchNode) -> int:
-    """Work/capacity lower bound on ``node``'s best completion cycle.
-
-    Every cycle the machine offers at most ``P = num_physical``
-    qubit-slots, and all of the following *distinct* work must still run
-    after ``node.time``:
-
-    * **pending gates** — every unstarted gate occupies each of its
-      operands for its full latency (``sum_l suffix_load[l][ptr[l]]``
-      qubit-cycles; the expander bumps all operand pointers atomically,
-      so a gate is pending on all of its chains or none);
-    * **in-flight actions** — each occupies its operands for its
-      remaining ``finish - time`` cycles;
-    * **future SWAPs** — a greedy maximal *qubit-disjoint* set of pending
-      two-qubit gates is matched onto the distance table: a pair at
-      effective distance ``d`` (positions after all in-flight SWAPs —
-      an operand cannot start its gate while a committed SWAP still
-      holds it, so its position at gate start is its effective position
-      as further modified only by future SWAPs) contributes ``d - 1`` to
-      the deficit, one future SWAP touches at most two of the disjoint
-      pairs and shortens each by at most one, so at least
-      ``ceil(deficit / 2)`` future SWAPs run, each occupying two qubits
-      for ``swap_len`` cycles.
-
-    The three categories never double-count (started/unstarted/not yet
-    started), hence ``completion >= time + ceil(total_work / P)``.  Only
-    meaningful for real (non-prefix) nodes: free prefix layers rearrange
-    the mapping at zero cost, which invalidates the SWAP-deficit term.
-    """
-    time = node.time
-    ptr = node.ptr
-    num_physical = problem.num_physical
-    suffix_load = problem.suffix_load
-    work = 0
-    for logical in range(problem.num_logical):
-        work += suffix_load[logical][ptr[logical]]
-
-    gate_qubits = problem.gate_qubits
-    for finish, kind, a, _b in node.inflight:
-        remaining = finish - time
-        if remaining <= 0:
-            continue
-        width = 2 if kind == K_SWAP else len(gate_qubits[a])
-        work += remaining * width
-
-    eff_pos, _eff_inv = node.mapping_after_swaps()
-    dist_flat = problem.dist_flat
-    deficit = 0
-    used = 0  # bitmask over logical qubits already claimed by a pair
-    for l1, l2, _lat, _p1c, _p2c in problem.pending_rows(ptr):
-        bit = (1 << l1) | (1 << l2)
-        if used & bit:
-            continue
-        p1, p2 = eff_pos[l1], eff_pos[l2]
-        if p1 < 0 or p2 < 0:
-            continue  # unplaced operand: no sound distance claim
-        used |= bit
-        d = dist_flat[p1 * num_physical + p2]
-        if d > 1:
-            deficit += d - 1
-    if deficit:
-        work += -(-deficit // 2) * 2 * problem.swap_len
-
-    if work <= 0:
-        return time
-    return time + -(-work // num_physical)
-
-
-# ----------------------------------------------------------------------
-# HAIL-style layer-weight refinement (once per problem)
-# ----------------------------------------------------------------------
-
-def layer_weight_lb(problem: MappingProblem) -> int:
-    """Mapping-independent depth floor from forced-start layer weights.
-
-    ``asap[g]`` (dependencies + latencies only, connectivity ignored) is
-    a start-time lower bound for ``g`` in *every* valid schedule from
-    *every* initial mapping — SWAPs only delay.  For each distinct
-    threshold ``t`` among the ASAP starts, all gates with
-    ``asap[g] >= t`` therefore run entirely after cycle ``t``, and the
-    machine drains them no faster than its per-cycle capacity:
-
-    * **gate capacity** — concurrently executing two-qubit gates occupy
-      disjoint physical edges, so at most
-      ``mu = min(floor(P / 2), |edges|)`` run per cycle (an upper bound
-      on the maximum matching, which keeps the bound admissible):
-      ``depth >= t + ceil(W2 / mu)`` with ``W2`` the summed latency of
-      the threshold's two-qubit gates;
-    * **qubit capacity** — every gate occupies ``arity`` qubits for its
-      latency: ``depth >= t + ceil(QW / P)``.
-
-    The result is the max of both forms over all thresholds, floored at
-    ``problem.ideal_depth()``, and cached on the problem instance (pure
-    function of the circuit + architecture, so warm-cache sharing across
-    repeats is sound).
-    """
-    cached = getattr(problem, "_layer_weight_lb", None)
-    if cached is not None:
-        return cached
-
-    num_logical = problem.num_logical
-    avail = [0] * num_logical
-    asap = []
-    for g, qubits in enumerate(problem.gate_qubits):
-        start = max(avail[q] for q in qubits)
-        asap.append(start)
-        finish = start + problem.gate_latency[g]
-        for q in qubits:
-            avail[q] = finish
-
-    best = problem.ideal_depth()
-    num_physical = problem.num_physical
-    mu = max(1, min(num_physical // 2, len(problem.edges)))
-    # Walk thresholds from the latest start downwards, accumulating the
-    # work forced at-or-after each one as suffix sums.
-    order = sorted(range(problem.num_gates), key=lambda g: asap[g],
-                   reverse=True)
-    two_qubit_work = 0
-    qubit_work = 0
-    index = 0
-    thresholds = sorted({asap[g] for g in order}, reverse=True)
-    for threshold in thresholds:
-        while index < len(order) and asap[order[index]] >= threshold:
-            g = order[index]
-            lat = problem.gate_latency[g]
-            arity = len(problem.gate_qubits[g])
-            qubit_work += arity * lat
-            if arity == 2:
-                two_qubit_work += lat
-            index += 1
-        if two_qubit_work:
-            best = max(best, threshold + -(-two_qubit_work // mu))
-        if qubit_work:
-            best = max(best, threshold + -(-qubit_work // num_physical))
-
-    problem._layer_weight_lb = best
-    return best
-
-
-# ----------------------------------------------------------------------
-# Burgholzer-style candidate restriction at the root (mode 2 only)
-# ----------------------------------------------------------------------
 
 def root_restriction_pairs(
     problem: MappingProblem,

@@ -133,7 +133,7 @@ class HeuristicMapper:
             never changes scores or node counts.
         telemetry: Optional observability context; ``None`` runs the
             uninstrumented fast path.
-        kernel: Kernel backend name (``pure``/``vector``/``compiled``) or
+        kernel: Kernel backend name (``pure``/``compiled``) or
             ``None`` for the auto-probe; windowed evaluation always runs
             the pure scorer, but the seam and the recorded
             ``kernel_backend`` stat stay uniform with the exact search.

@@ -2,9 +2,9 @@
 
 The four innermost operations of the search — heuristic evaluation,
 filter group hashing, dominance comparison, and open-heap push/pop — are
-isolated behind this narrow API so they can be swapped between a pure
-python reference, a numpy-vectorized batch evaluator, and an optional
-compiled extension without touching the search loops.
+isolated behind this narrow API so they can be swapped between the pure
+python reference and an optional compiled extension without touching
+the search loops.
 
 Contract (every backend, bit-for-bit):
 

@@ -1,7 +1,7 @@
 """The ``compiled`` backend: C-extension hot kernels.
 
 Requires the optional ``repro.core.kernels._ckernels`` extension (built
-by ``python setup.py build_ext --inplace`` or a ``repro[fast]`` wheel);
+by ``python setup.py build_ext --inplace`` or a binary wheel);
 importing this module raises ``ImportError`` when it is absent, which
 the registry turns into "backend unavailable".
 

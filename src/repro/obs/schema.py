@@ -66,16 +66,14 @@ STAT_INCUMBENT_DEPTH = "incumbent_depth"
 STAT_SWAPS_RESTRICTED = "swaps_restricted"
 STAT_SYMMETRY_PRUNED = "symmetry_pruned"
 STAT_MODE2_ROOTS = "mode2_roots"
-# Literature-grade bound counters (optional, optimal mode — see
-# repro.core.bounds for the derivations):
-STAT_PRUNED_BY_ASSIGNMENT = "pruned_by_assignment_lb"
-STAT_PRUNED_BY_LAYER_WEIGHT = "pruned_by_layer_weight"
+# Mode-2 root restriction (repro.core.bounds) and closed-node dominance
+# (repro.core.filters) counters (optional, optimal mode):
 STAT_ROOT_RESTRICTED = "root_candidates_restricted"
 STAT_CLOSED_DOMINATED = "closed_dominated"
 # Portfolio-lane counters (portfolio mapper only):
 STAT_LANES_FINISHED = "lanes_finished"
 STAT_WINNER_LANE = "winner_lane"
-# Which kernel backend scored/filtered the search (pure/vector/compiled):
+# Which kernel backend scored/filtered the search (pure/compiled):
 STAT_KERNEL_BACKEND = "kernel_backend"
 
 # -- canonical mapper names ---------------------------------------------

@@ -24,14 +24,10 @@ reason tag                    rule (where it lives)
 ``swap_restriction``          active-SWAP candidate restriction
                               (``startable_actions``)
 ``symmetry_quotient``         mode-2 automorphism orbit deduplication
-``assignment_lb``             per-node assignment-relaxation work bound
-                              (``core.bounds.assignment_lb``)
-``layer_weight``              layer-weight depth floor
-                              (``core.bounds.layer_weight_lb``)
 ``root_restriction``          mode-2 root-mapping candidate restriction
                               (``core.bounds.root_mapping_allowed``)
 ``closed_dominance``          dominance by a closed in-flight-free node
-                              (``StateFilter(closed_dominance=True)``)
+                              (``StateFilter``, outside all-optima runs)
 ============================  ==========================================
 
 Records carry ``"type": "trace"`` so they interleave cleanly with the
@@ -98,8 +94,6 @@ PRUNE_DOMINANCE_KILL = "dominance_kill"
 PRUNE_BOUND_KILL = "incumbent_bound_kill"
 PRUNE_SWAP_RESTRICTION = "swap_restriction"
 PRUNE_SYMMETRY = "symmetry_quotient"
-PRUNE_ASSIGNMENT_LB = "assignment_lb"
-PRUNE_LAYER_WEIGHT = "layer_weight"
 PRUNE_ROOT_RESTRICTION = "root_restriction"
 PRUNE_CLOSED_DOMINANCE = "closed_dominance"
 
@@ -115,8 +109,6 @@ REASON_TO_STAT: Dict[str, str] = {
     PRUNE_BOUND_KILL: "killed",
     PRUNE_SWAP_RESTRICTION: "swaps_restricted",
     PRUNE_SYMMETRY: "symmetry_pruned",
-    PRUNE_ASSIGNMENT_LB: "pruned_by_assignment_lb",
-    PRUNE_LAYER_WEIGHT: "pruned_by_layer_weight",
     PRUNE_ROOT_RESTRICTION: "root_candidates_restricted",
     PRUNE_CLOSED_DOMINANCE: "closed_dominated",
 }
@@ -317,8 +309,7 @@ class TraceRecorder:
             record["cycle"] = node.time
             # ``f`` is only meaningful for bound prunes (push computes it
             # before pruning); filter rejections happen pre-heuristic.
-            if reason in (PRUNE_INCUMBENT_BOUND, PRUNE_IDEAL_DEPTH,
-                          PRUNE_ASSIGNMENT_LB, PRUNE_LAYER_WEIGHT):
+            if reason in (PRUNE_INCUMBENT_BOUND, PRUNE_IDEAL_DEPTH):
                 record["f"] = node.f
             record["phase"] = "prefix" if node.in_prefix else "search"
         self._out(record)

@@ -1,12 +1,16 @@
-"""Admissibility tests for the literature-grade bounds (repro.core.bounds).
+"""Soundness tests for the exact search's always-on reductions.
 
-Every bound ships with a written admissibility argument; these tests
-cross-check the arguments empirically: on small random problems no bound
-may ever exceed the true optimal depth (computed by the exact search,
-including ``find_all_optimal`` exhaustive enumeration), ablating a bound
-must never change the depth, and the closed-dominance filter extension
-must preserve both the optimum and all-optima enumeration.
+The default exact search runs two loss-free reductions that
+``find_all_optimal`` switches off: dominance by closed nodes
+(``StateFilter``) and the mode-2 root-mapping restriction
+(``repro.core.bounds``).  These tests cross-check them empirically: on
+small random problems the default search must reach exactly the depth of
+the unrestricted all-optima enumeration, the admissible bounds the search
+prunes with may never exceed the true optimum, and the restriction's
+predicate must match its written definition.
 """
+
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
@@ -14,13 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from repro.arch import grid, lnn
 from repro.circuit import Circuit, uniform_latency
 from repro.circuit.generators import linear_entangler, qft_skeleton
-from repro.core import OptimalMapper
-from repro.core.bounds import (
-    assignment_lb,
-    layer_weight_lb,
-    root_mapping_allowed,
-    root_restriction_pairs,
-)
+from repro.core import OptimalMapper, astar
+from repro.core.bounds import root_mapping_allowed, root_restriction_pairs
+from repro.core.heuristic import heuristic_cost
 from repro.core.problem import MappingProblem
 from repro.core.state import SearchNode
 
@@ -81,38 +81,86 @@ _PROPERTY_SETTINGS = settings(
 
 
 # ---------------------------------------------------------------------------
-# Admissibility: bounds never exceed the true optimum
+# Differential: the default search against the unrestricted enumeration
 # ---------------------------------------------------------------------------
 
 
 @_PROPERTY_SETTINGS
-@given(circuits(), latencies())
-def test_layer_weight_never_exceeds_mode2_optimum(circuit, latency):
-    """The mapping-independent floor holds even for the best mapping."""
+@given(circuits(), latencies(), st.booleans())
+def test_closed_dominance_depth_parity(circuit, latency, mode2):
+    """Closed dominance and root restriction never change the optimum.
+
+    The default search runs both; ``find_all_optimal`` runs with both
+    forced off, so its depth is the unrestricted reference, in mode 1
+    and in mode 2.
+    """
     arch = lnn(circuit.num_qubits)
-    problem = MappingProblem(circuit, arch, latency)
-    optimum = OptimalMapper(
-        arch, latency, search_initial_mapping=True
-    ).map(circuit).depth
-    assert layer_weight_lb(problem) <= optimum
+    mapper = OptimalMapper(arch, latency, search_initial_mapping=mode2)
+    result = mapper.map(circuit)
+    reference = mapper.find_all_optimal(circuit, max_solutions=1)
+    assert result.optimal
+    assert result.depth == reference[0].depth
+
+
+def _without_closed_dominance():
+    """Patch the exact search to build its StateFilter without closed dominance."""
+    original = astar.StateFilter
+
+    def state_filter(*args, **kwargs):
+        kwargs["closed_dominance"] = False
+        return original(*args, **kwargs)
+
+    return mock.patch.object(astar, "StateFilter", state_filter)
+
+
+def _without_root_restriction():
+    """Patch the exact search to skip the mode-2 root-mapping restriction."""
+    return mock.patch.object(astar, "root_restriction_pairs", lambda _: None)
 
 
 @_PROPERTY_SETTINGS
-@given(circuits(max_qubits=3), latencies(), st.randoms(use_true_random=False))
-def test_assignment_lb_never_exceeds_pinned_optimum(circuit, latency, rng):
-    """The root's work/capacity bound holds for a random pinned mapping."""
+@given(circuits(), latencies())
+def test_every_bound_is_individually_ablatable(circuit, latency):
+    """Switching off any single reduction never changes the mode-2 optimum.
+
+    The always-on reductions (closed dominance, root restriction) are
+    ablated by patching the search; the rest through their keywords.
+    """
     arch = lnn(circuit.num_qubits)
-    problem = MappingProblem(circuit, arch, latency)
-    mapping = list(range(circuit.num_qubits))
-    rng.shuffle(mapping)
-    optimum = OptimalMapper(arch, latency).map(
-        circuit, initial_mapping=mapping
-    ).depth
-    assert assignment_lb(problem, make_root(problem, mapping)) <= optimum
+    baseline = OptimalMapper(
+        arch, latency, search_initial_mapping=True
+    ).map(circuit).depth
+    patched = {
+        "closed_dominance": _without_closed_dominance,
+        "root_restriction": _without_root_restriction,
+    }
+    for lever, patch in patched.items():
+        with patch():
+            result = OptimalMapper(
+                arch, latency, search_initial_mapping=True
+            ).map(circuit)
+        assert result.optimal, lever
+        assert result.depth == baseline, lever
+    for lever in ("prune_swaps", "seed_incumbent", "reduce_symmetry"):
+        result = OptimalMapper(
+            arch, latency, search_initial_mapping=True, **{lever: False}
+        ).map(circuit)
+        assert result.optimal, lever
+        assert result.depth == baseline, lever
+
+
+# ---------------------------------------------------------------------------
+# Admissibility: bounds never exceed the true optimum
+# ---------------------------------------------------------------------------
 
 
 def test_bounds_hold_against_exhaustive_all_optima():
-    """Cross-check both bounds against ``find_all_optimal`` depths."""
+    """Cross-check the search's lower bounds against ``find_all_optimal``.
+
+    The all-to-all depth (``ideal_depth``, the mode-2 prefix prune) must
+    not exceed the optimum, and neither may the heuristic at the root of
+    any optimal schedule's initial mapping.
+    """
     latency = uniform_latency(1, 3)
     for circuit, arch in [
         (qft_skeleton(3), lnn(3)),
@@ -127,14 +175,14 @@ def test_bounds_hold_against_exhaustive_all_optima():
         depths = {result.depth for result in solutions}
         assert len(depths) == 1
         optimum = depths.pop()
-        assert layer_weight_lb(problem) <= optimum
+        assert problem.ideal_depth() <= optimum
         for result in solutions:
             root = make_root(problem, result.initial_mapping)
-            assert assignment_lb(problem, root) <= optimum
+            assert heuristic_cost(problem, root) <= optimum
 
 
 # ---------------------------------------------------------------------------
-# Root restriction: loss-free, and its predicate is exact
+# Root restriction: its predicate is exact
 # ---------------------------------------------------------------------------
 
 
@@ -168,112 +216,51 @@ def test_root_mapping_allowed_matches_adjacency():
     assert not root_mapping_allowed(problem, (0, 2, 1), pairs)
 
 
-@_PROPERTY_SETTINGS
-@given(circuits(), latencies())
-def test_every_bound_is_individually_ablatable(circuit, latency):
-    """Toggling any single lever never changes the mode-2 optimum."""
-    arch = lnn(circuit.num_qubits)
-    baseline = OptimalMapper(
-        arch, latency, search_initial_mapping=True
-    ).map(circuit).depth
-    for lever in (
-        "assignment_bound",
-        "layer_bound",
-        "root_restriction",
-        "closed_dominance",
-    ):
-        result = OptimalMapper(
-            arch, latency, search_initial_mapping=True, **{lever: True}
-        ).map(circuit)
-        assert result.depth == baseline, lever
-
-
 # ---------------------------------------------------------------------------
-# Closed dominance: parity and find_all safety
+# All-optima enumeration runs without both reductions
 # ---------------------------------------------------------------------------
-
-
-@_PROPERTY_SETTINGS
-@given(circuits(), latencies(), st.booleans())
-def test_closed_dominance_depth_parity(circuit, latency, mode2):
-    arch = lnn(circuit.num_qubits)
-    kwargs = dict(search_initial_mapping=mode2)
-    baseline = OptimalMapper(arch, latency, **kwargs).map(circuit)
-    all_on = OptimalMapper(
-        arch,
-        latency,
-        closed_dominance=True,
-        assignment_bound=True,
-        layer_bound=True,
-        root_restriction=True,
-        **kwargs,
-    ).map(circuit)
-    assert all_on.depth == baseline.depth
-    assert all_on.optimal
 
 
 def test_closed_dominance_forced_off_for_find_all():
-    """All-optima enumeration must keep equal-depth alternatives."""
+    """All-optima enumeration must keep equal-depth alternatives.
+
+    4 is the solution count recorded before closed dominance and root
+    restriction became the default (both were off then).
+    """
     latency = uniform_latency(1, 3)
     circuit = qft_skeleton(3)
     arch = lnn(3)
-    baseline = OptimalMapper(
+    solutions = OptimalMapper(
         arch, latency, search_initial_mapping=True
     ).find_all_optimal(circuit, max_solutions=256)
-    extended = OptimalMapper(
-        arch, latency, search_initial_mapping=True, closed_dominance=True
-    ).find_all_optimal(circuit, max_solutions=256)
-    assert len(extended) == len(baseline)
-    assert {r.depth for r in extended} == {r.depth for r in baseline}
+    assert len(solutions) == 4
+    assert {r.depth for r in solutions} == {6}
+    stats = solutions[-1].stats
+    assert stats.get("closed_dominated", 0) == 0
+    assert stats.get("root_candidates_restricted", 0) == 0
 
 
 def test_counters_surface_in_stats():
-    """Each lever reports its own counter; ablated levers report zero."""
+    """Both reductions fire by default and report their own counters."""
     latency = uniform_latency(1, 3)
-    circuit = qft_skeleton(5)
-    arch = lnn(5)
-    on = OptimalMapper(
-        arch,
-        latency,
-        search_initial_mapping=True,
-        closed_dominance=True,
-        assignment_bound=True,
-        layer_bound=True,
-        root_restriction=True,
-    ).map(circuit).stats
-    for key in (
-        "closed_dominated",
-        "pruned_by_assignment_lb",
-        "pruned_by_layer_weight",
-        "root_candidates_restricted",
-    ):
-        assert on.get(key, 0) >= 0
-    assert on["closed_dominated"] > 0
-    assert on["root_candidates_restricted"] > 0
-    off = OptimalMapper(
-        arch, latency, search_initial_mapping=True
-    ).map(circuit).stats
-    assert off.get("closed_dominated", 0) == 0
-    assert off.get("root_candidates_restricted", 0) == 0
+    stats = OptimalMapper(
+        lnn(5), latency, search_initial_mapping=True
+    ).map(qft_skeleton(5)).stats
+    assert stats["closed_dominated"] > 0
+    assert stats["root_candidates_restricted"] > 0
+
+
+#: Nodes the default qft5/LNN mode-2 search expanded before closed
+#: dominance and root restriction were switched on.
+PRE_LEVER_QFT5_LNN_NODES = 3747
 
 
 def test_closed_dominance_reduces_expansions_on_acceptance_instance():
     """The headline perf claim: >=25% fewer exact-lane expansions."""
     latency = uniform_latency(1, 3)
-    circuit = qft_skeleton(5)
-    arch = lnn(5)
-    baseline = OptimalMapper(
-        arch, latency, search_initial_mapping=True
-    ).map(circuit)
-    tightened = OptimalMapper(
-        arch,
-        latency,
-        search_initial_mapping=True,
-        closed_dominance=True,
-        assignment_bound=True,
-        layer_bound=True,
-        root_restriction=True,
-    ).map(circuit)
-    assert tightened.depth == baseline.depth == 22
-    saved = baseline.stats["nodes_expanded"] - tightened.stats["nodes_expanded"]
-    assert saved >= 0.25 * baseline.stats["nodes_expanded"]
+    result = OptimalMapper(
+        lnn(5), latency, search_initial_mapping=True
+    ).map(qft_skeleton(5))
+    assert result.depth == 22
+    saved = PRE_LEVER_QFT5_LNN_NODES - result.stats["nodes_expanded"]
+    assert saved >= 0.25 * PRE_LEVER_QFT5_LNN_NODES

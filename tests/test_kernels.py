@@ -1,11 +1,12 @@
 """Kernel backend registry + cross-backend bit-identity properties.
 
-The backends (``pure`` / ``vector`` / ``compiled``) promise *identical*
-search behaviour — same schedules, same node counts, same prune
-counters — differing only in speed.  These tests pin that contract with
-hypothesis over random circuits, for every backend that constructs on
-this interpreter (the CI matrix runs the suite with and without the C
-extension built).
+The backends (``pure`` / ``compiled``) promise *identical* search
+behaviour — same schedules, same node counts, same prune counters —
+differing only in speed.  These tests pin that contract with hypothesis
+over random circuits, for every backend that constructs on this
+interpreter (the CI matrix runs the suite with and without the C
+extension built), and hold the instrumented search loop (telemetry on)
+to the same contract.
 """
 
 import hypothesis.strategies as st
@@ -18,12 +19,14 @@ from repro.core import HeuristicMapper, OptimalMapper
 from repro.core.heuristic import HeuristicMemo, heuristic_cost
 from repro.core.kernels import (
     BACKEND_NAMES,
+    PROBE_ORDER,
     available_backends,
     get_backend,
     resolve_backend,
 )
 from repro.core.kernels.api import KernelBackend
 from repro.core.problem import MappingProblem
+from repro.obs import Telemetry
 from repro.obs.schema import STAT_KERNEL_BACKEND
 
 from .test_heuristic import make_node
@@ -51,6 +54,23 @@ def _parity_signature(result):
     return (result.depth, result.initial_mapping) + tuple(
         stats.get(key) for key in PARITY_KEYS
     )
+
+
+def _signatures(make_mapper, circuit):
+    """Parity signature per backend, plus the instrumented search loop.
+
+    With telemetry on, a mapper runs its instrumented loop, which
+    expands and scores node by node in python whatever the backend: a
+    second implementation of the same search, held to the same tree.
+    """
+    signatures = {
+        name: _parity_signature(make_mapper(kernel=name).map(circuit))
+        for name in BACKENDS
+    }
+    signatures["instrumented"] = _parity_signature(
+        make_mapper(kernel="pure", telemetry=Telemetry()).map(circuit)
+    )
+    return signatures
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +111,15 @@ class TestRegistry:
     def test_available_is_subset_of_names(self):
         assert set(BACKENDS) <= set(BACKEND_NAMES)
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="nope"):
-            resolve_backend("nope")
+    def test_unknown_name_rejected(self, monkeypatch):
+        for name in ("nope", "vector"):
+            match = f"unknown kernel backend '{name}'.*choose from"
+            with pytest.raises(ValueError, match=match):
+                resolve_backend(name)
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", name)
+            with pytest.raises(ValueError, match=match):
+                resolve_backend(None)
+            monkeypatch.delenv("REPRO_KERNEL_BACKEND")
 
     def test_instances_are_cached(self):
         assert get_backend("pure") is get_backend("pure")
@@ -115,7 +141,8 @@ class TestRegistry:
         resolved = resolve_backend(None).name
         # The probe must pick the first *available* name in fastest-first
         # order, never something that failed to construct.
-        for candidate in ("compiled", "vector", "pure"):
+        assert PROBE_ORDER == ("compiled", "pure")
+        for candidate in PROBE_ORDER:
             if candidate in BACKENDS:
                 assert resolved == candidate
                 break
@@ -130,7 +157,6 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="only one backend built")
 class TestSearchParity:
     @settings(
         max_examples=15,
@@ -140,12 +166,9 @@ class TestSearchParity:
     @given(circuit=circuits(), latency=latencies(), data=st.data())
     def test_mode1_identical(self, circuit, latency, data):
         arch = lnn(circuit.num_qubits)
-        signatures = {
-            name: _parity_signature(
-                OptimalMapper(arch, latency, kernel=name).map(circuit)
-            )
-            for name in BACKENDS
-        }
+        signatures = _signatures(
+            lambda **kw: OptimalMapper(arch, latency, **kw), circuit
+        )
         reference = signatures["pure"]
         assert all(sig == reference for sig in signatures.values()), signatures
 
@@ -157,17 +180,12 @@ class TestSearchParity:
     @given(circuit=circuits(max_qubits=4, max_gates=6), latency=latencies())
     def test_mode2_identical(self, circuit, latency):
         arch = lnn(circuit.num_qubits)
-        signatures = {
-            name: _parity_signature(
-                OptimalMapper(
-                    arch,
-                    latency,
-                    search_initial_mapping=True,
-                    kernel=name,
-                ).map(circuit)
-            )
-            for name in BACKENDS
-        }
+        signatures = _signatures(
+            lambda **kw: OptimalMapper(
+                arch, latency, search_initial_mapping=True, **kw
+            ),
+            circuit,
+        )
         reference = signatures["pure"]
         assert all(sig == reference for sig in signatures.values()), signatures
 
@@ -179,12 +197,9 @@ class TestSearchParity:
     @given(circuit=circuits(max_qubits=5, max_gates=10), latency=latencies())
     def test_heuristic_mapper_identical(self, circuit, latency):
         arch = grid(2, 3)
-        signatures = {
-            name: _parity_signature(
-                HeuristicMapper(arch, latency, kernel=name).map(circuit)
-            )
-            for name in BACKENDS
-        }
+        signatures = _signatures(
+            lambda **kw: HeuristicMapper(arch, latency, **kw), circuit
+        )
         reference = signatures["pure"]
         assert all(sig == reference for sig in signatures.values()), signatures
 
@@ -199,15 +214,13 @@ class TestSearchParity:
             {"memoize": False},
             {"reduce_symmetry": False, "search_initial_mapping": True},
         ):
-            signatures = [
-                _parity_signature(
-                    OptimalMapper(
-                        arch, uniform_latency(1, 3), kernel=name, **kwargs
-                    ).map(circuit)
-                )
-                for name in BACKENDS
-            ]
-            assert len(set(signatures)) == 1, (kwargs, signatures)
+            signatures = _signatures(
+                lambda **kw: OptimalMapper(
+                    arch, uniform_latency(1, 3), **kwargs, **kw
+                ),
+                circuit,
+            )
+            assert len(set(signatures.values())) == 1, (kwargs, signatures)
 
 
 # ---------------------------------------------------------------------------

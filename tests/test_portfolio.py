@@ -57,8 +57,9 @@ def test_full_race_reaches_proven_optimum():
 def test_cross_lane_bound_tightens_exact_search():
     """The held seed's shared offer must prune the exact lane.
 
-    Bounds are ablated so the comparison isolates the incumbent protocol:
-    the unseeded exact search is the worst case, and the portfolio's
+    Both sides run the same exact configuration, so the comparison
+    isolates the incumbent protocol: the unseeded exact search is the
+    worst case, and the portfolio's
     exact lane — fed the seed depth through the shared bound before it
     starts — must beat it.
     """
@@ -70,10 +71,6 @@ def test_cross_lane_bound_tightens_exact_search():
         lnn(5),
         LAT,
         lanes=(LANE_EXACT, LANE_HEURISTIC),
-        assignment_bound=False,
-        layer_bound=False,
-        root_restriction=False,
-        closed_dominance=False,
     ).map(circuit)
     validate_result(raced)
     assert raced.depth == unseeded.depth

@@ -166,12 +166,13 @@ class TestTraceRecorder:
             TraceRecorder(mode="everything")
 
 
-def _traced_mode2(workers=None, max_nodes=None, seed_incumbent=True):
-    """Map QFT-4 on LNN-4 in mode 2 with a full in-memory trace."""
+def _traced_mode2(workers=None, max_nodes=None, seed_incumbent=True,
+                  num_qubits=4):
+    """Map QFT-n on LNN-n in mode 2 with a full in-memory trace."""
     recorder = TraceRecorder()
     telemetry = Telemetry(search_trace=recorder)
     mapper = OptimalMapper(
-        lnn(4), uniform_latency(1, 3), search_initial_mapping=True,
+        lnn(num_qubits), uniform_latency(1, 3), search_initial_mapping=True,
         mode2_workers=workers, max_nodes=max_nodes,
         seed_incumbent=seed_incumbent, telemetry=telemetry,
     )
@@ -180,24 +181,33 @@ def _traced_mode2(workers=None, max_nodes=None, seed_incumbent=True):
 
 class TestTraceReconciliation:
     def test_full_trace_reproduces_mode2_counters(self):
-        mapper, telemetry, recorder = _traced_mode2()
-        result = mapper.map(qft_skeleton(4))
-        telemetry.finish()
-        report = diagnose(recorder.drain())
-        assert report["complete"]
-        assert report["consistent"], report["mismatches"]
-        for key in RECONCILED_STATS:
-            if key in result.stats:
-                assert report["recorded_counters"].get(key, 0) == \
-                    result.stats[key]
-        audit = report["heuristic_audit"]
-        assert audit is not None
-        assert audit["depth"] == result.depth
-        assert audit["admissible_on_path"]
-        assert audit["path_complete"]
-        # slack >= 0 along the whole optimal path: empirical
-        # admissibility of h
-        assert all(step["slack"] >= 0 for step in audit["path"])
+        for num_qubits in (4, 5):
+            mapper, telemetry, recorder = _traced_mode2(
+                num_qubits=num_qubits
+            )
+            result = mapper.map(qft_skeleton(num_qubits))
+            telemetry.finish()
+            report = diagnose(recorder.drain())
+            assert report["complete"]
+            assert report["consistent"], report["mismatches"]
+            for key in RECONCILED_STATS:
+                if key in result.stats:
+                    assert report["recorded_counters"].get(key, 0) == \
+                        result.stats[key]
+            audit = report["heuristic_audit"]
+            assert audit is not None
+            assert audit["depth"] == result.depth
+            assert audit["admissible_on_path"]
+            assert audit["path_complete"]
+            # slack >= 0 along the whole optimal path: empirical
+            # admissibility of h
+            assert all(step["slack"] >= 0 for step in audit["path"])
+        # On QFT-5 the default search's always-on reductions both fire,
+        # and the trace attributes every one of their prunes.
+        assert result.stats["closed_dominated"] > 0
+        assert result.stats["root_candidates_restricted"] > 0
+        for key in ("closed_dominated", "root_candidates_restricted"):
+            assert report["recorded_counters"][key] == result.stats[key]
 
     def test_untraced_run_matches_traced_depth_and_counters(self):
         mapper, telemetry, recorder = _traced_mode2()
