@@ -55,8 +55,9 @@ import time
 from typing import Dict, Optional
 
 from repro.analysis.batch import BatchTask, map_many
-from repro.arch import grid, lnn
-from repro.circuit import uniform_latency
+from repro.arch import grid, ibm_tokyo, lnn
+from repro.benchcircuits import benchmark_circuit
+from repro.circuit import IBM_LATENCY, uniform_latency
 from repro.circuit.generators import qft_skeleton, random_circuit
 from repro.core import HeuristicMapper, OptimalMapper, SearchBudgetExceeded
 from repro.core.kernels import BACKEND_NAMES, resolve_backend
@@ -237,6 +238,32 @@ def _run_heuristic(num_qubits: int, iterations: int,
     }
 
 
+def _run_heuristic_z4_268(gate_cap: int, kernel: Optional[str]) -> Dict:
+    """Practical mapper on Table-3 row z4_268: Tokyo, IBM latency, capped.
+
+    Records gates/s next to the schedule's depth and SWAP count; both
+    are deterministic, so CI pins them on the tiny run as a quality gate
+    for the windowed heuristic lane.
+    """
+    circuit = benchmark_circuit("z4_268", scale_gate_cap=gate_cap)
+    mapper = HeuristicMapper(ibm_tokyo(), IBM_LATENCY, kernel=kernel)
+    result = mapper.map(circuit)
+    stats = result.stats
+    wall = stats["seconds"]
+    return {
+        "kind": "heuristic-table3",
+        "iterations": 1,
+        "gates": len(circuit),
+        "depth": result.depth,
+        "swaps": result.num_inserted_swaps,
+        "gates_per_sec": len(circuit) / wall,
+        "nodes_expanded": int(stats["nodes_expanded"]),
+        "wall_seconds": wall,
+        "nodes_per_sec": stats["nodes_expanded"] / wall,
+        "memo_hit_rate": _memo_hit_rate(stats),
+    }
+
+
 def _run_batch(num_circuits: int, workers: int,
                kernel: Optional[str]) -> Dict:
     """Batch-runner probe: map_many over random circuits."""
@@ -283,6 +310,7 @@ def run_suites(tiny: bool, pruned: bool = True,
             "heuristic_qft6_lnn": _run_heuristic(
                 6, iterations=2, kernel=kernel
             ),
+            "heuristic_z4_268": _run_heuristic_z4_268(40, kernel=kernel),
             "batch_random5": _run_batch(
                 num_circuits=2, workers=1, kernel=kernel
             ),
@@ -301,6 +329,7 @@ def run_suites(tiny: bool, pruned: bool = True,
             5, lnn(5), iterations=3, kernel=kernel
         ),
         "heuristic_qft8_lnn": _run_heuristic(8, iterations=3, kernel=kernel),
+        "heuristic_z4_268": _run_heuristic_z4_268(300, kernel=kernel),
         "batch_random5": _run_batch(num_circuits=4, workers=1, kernel=kernel),
     }
 

@@ -28,6 +28,9 @@ formulation for cross-checking):
   only ever shift that chain's head/load by their total latency and can
   never set the overall maximum (the next two-qubit gate's finish bound
   dominates them), so they are folded in as one prefix-sum subtraction.
+* The practical mapper's look-ahead window is compiled once per
+  ``(ptr, window)`` (:meth:`MappingProblem.window_plan`); the windowed
+  scorer walks its two-qubit rows with the same single-run folding.
 * The SWAP-split minimization over ``r`` is computed in closed form
   (:func:`_swap_split_delay`) with a small per-problem memo table keyed
   on the packed ``(d, slack1, slack2)`` triple (``swap_len`` is constant
@@ -42,7 +45,7 @@ formulation for cross-checking):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from .problem import MappingProblem
@@ -224,19 +227,7 @@ def heuristic_cost(
     else:
         key = None
 
-    if window is not None:
-        h = _windowed_cost(problem, node, window, swap_aware, metrics)
-        if memo is not None:
-            memo.table[key] = h
-        return h
-
-    dist_flat = problem.dist_flat
-    num_physical = problem.num_physical
-    swap_len = problem.swap_len
     num_logical = problem.num_logical
-    split_lut = problem.split_lut
-    has_singles = problem.has_singles
-
     head = [0] * num_logical  # finish lower bound of latest chain element
     load = [0] * num_logical  # total remaining predecessor cycles (T)
     h = 0
@@ -264,6 +255,20 @@ def heuristic_cost(
         pos_after = node.mapping_after_swaps()[0]
     else:
         pos_after = node.pos
+
+    if window is not None:
+        h = _windowed_cost(
+            problem, ptr, window, swap_aware, metrics, head, load, h, pos_after
+        )
+        if memo is not None:
+            memo.table[key] = h
+        return h
+
+    dist_flat = problem.dist_flat
+    num_physical = problem.num_physical
+    swap_len = problem.swap_len
+    split_lut = problem.split_lut
+    has_singles = problem.has_singles
 
     if metrics is not None:
         metrics.counter("heuristic.calls").inc()
@@ -405,18 +410,36 @@ def heuristic_cost(
 
 def _windowed_cost(
     problem: MappingProblem,
-    node: SearchNode,
+    ptr: Tuple[int, ...],
     window: int,
     swap_aware: bool,
     metrics: Optional[MetricsRegistry],
+    head: List[int],
+    load: List[int],
+    h: int,
+    pos_after: Tuple[int, ...],
 ) -> int:
     """Truncated-lookahead cost (practical mapper, Section 6.2).
 
-    Only the first ``window`` unstarted gates per qubit chain are
-    considered, and the merged pending list is additionally capped at
-    ``4 * window`` gates *in program order* (the cap is deterministic:
-    the pending list is sorted by gate index — program order — before
-    truncation, so the surviving gates are always the earliest ones).
+    Continues :func:`heuristic_cost` after the in-flight prelude has set
+    ``head`` / ``load`` / ``h``.  Only the first ``window`` unstarted
+    gates per qubit chain are considered, and the merged pending list is
+    additionally capped at ``4 * window`` gates *in program order* (so
+    the surviving gates are always the earliest ones).  That selection
+    depends only on ``(ptr, window)`` and comes precompiled from
+    :meth:`MappingProblem.window_plan`: the loop below walks the
+    window's two-qubit rows only.
+
+    Each row first adds the single-qubit run its operands executed since
+    their previous row to their ``head``, and each chain's trailing
+    single-qubit tail is checked against ``h`` at the end.  The folding
+    is exact: a single-qubit gate only moves its own chain's ``head`` /
+    ``load``, and the next two-qubit gate on that chain ends no earlier
+    than ``head``, so an intermediate single-qubit finish never sets the
+    maximum (the same argument as the exact path's ``has_singles``
+    loop).  ``load`` is never updated here: a chain's load at a row is
+    its in-flight remainder (what the prelude left in ``load``) plus the
+    row's precomputed ``before`` latency.
 
     Admissibility caveat: dropping gates can only lower the bound, so the
     truncated ``h`` remains a valid lower bound on the true remaining
@@ -427,76 +450,30 @@ def _windowed_cost(
     events are counted in the ``heuristic.window_truncated`` metric so a
     run can tell how often its lookahead was clipped.
     """
-    gate_qubits = problem.gate_qubits
-    gate_latency = problem.gate_latency
+    rows, tails, pending, truncated = problem.window_plan(ptr, window)
+    if metrics is not None:
+        if truncated:
+            metrics.counter("heuristic.window_truncated").inc()
+        metrics.counter("heuristic.calls").inc()
+        metrics.histogram("heuristic.pending_gates").observe(pending)
+
     dist_flat = problem.dist_flat
     num_physical = problem.num_physical
     swap_len = problem.swap_len
-    num_logical = problem.num_logical
-    time = node.time
-
-    head = [0] * num_logical
-    load = [0] * num_logical
-    h = 0
-
-    if node.inflight:
-        inv_after = list(node.inv)
-        for finish, kind, a, b in node.inflight:
-            remaining = finish - time
-            if remaining > h:
-                h = remaining
-            if kind == K_SWAP:
-                l1, l2 = inv_after[a], inv_after[b]
-                inv_after[a], inv_after[b] = l2, l1
-                if l1 >= 0:
-                    head[l1] = remaining
-                    load[l1] = remaining
-                if l2 >= 0:
-                    head[l2] = remaining
-                    load[l2] = remaining
-            else:
-                for logical in gate_qubits[a]:
-                    head[logical] = remaining
-                    load[logical] = remaining
-        pos_after = node.mapping_after_swaps()[0]
-    else:
-        pos_after = node.pos
-
-    ptr = node.ptr
-    seq = problem.seq
-    selected = set()
-    for logical in range(num_logical):
-        selected.update(seq[logical][ptr[logical]: ptr[logical] + window])
-    pending = sorted(selected)
-    if len(pending) > 4 * window:
-        pending = pending[: 4 * window]
-        if metrics is not None:
-            metrics.counter("heuristic.window_truncated").inc()
-
-    if metrics is not None:
-        metrics.counter("heuristic.calls").inc()
-        metrics.histogram("heuristic.pending_gates").observe(len(pending))
-
     split_lut = problem.split_lut
-    for gate in pending:
-        qubits = gate_qubits[gate]
-        length = gate_latency[gate]
-        if len(qubits) == 1:
-            (l1,) = qubits
-            end = head[l1] + length
-            head[l1] = end
-            load[l1] += length
-        else:
-            l1, l2 = qubits
-            u = head[l1] if head[l1] >= head[l2] else head[l2]
-            p1, p2 = pos_after[l1], pos_after[l2]
-            if swap_aware and p1 >= 0 and p2 >= 0:
-                d = dist_flat[p1 * num_physical + p2]
-            else:
-                d = 1  # unplaced qubits / uninformed mode: optimistic
+    for l1, l2, length, run1, run2, before1, before2 in rows:
+        h1 = head[l1] + run1
+        h2 = head[l2] + run2
+        u = h1 if h1 >= h2 else h2
+        p1 = pos_after[l1]
+        p2 = pos_after[l2]
+        if swap_aware and p1 >= 0 and p2 >= 0:
+            d = dist_flat[p1 * num_physical + p2]
             if d > 1:
-                s1 = u - load[l1]
-                s2 = u - load[l2]
+                # A chain's load is its in-flight remainder plus the
+                # window latency ahead of this row.
+                s1 = u - load[l1] - before1
+                s2 = u - load[l2] - before2
                 if d == 2 and swap_len > 0:
                     best = swap_len - (s1 if s1 >= s2 else s2)
                     if best < 0:
@@ -511,14 +488,16 @@ def _windowed_cost(
                 else:
                     best = _swap_split_delay(d, s1, s2, swap_len)
                 u += best
-            end = u + length
-            head[l1] = end
-            head[l2] = end
-            load[l1] += length
-            load[l2] += length
+        end = u + length
+        head[l1] = end
+        head[l2] = end
         if end > h:
             h = end
 
+    for logical, tail in tails:
+        end = head[logical] + tail
+        if end > h:
+            h = end
     return h
 
 

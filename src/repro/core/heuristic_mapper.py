@@ -18,7 +18,8 @@ Relaxations relative to the optimal search, exactly as the paper lists them:
   distance; qubits never used by a CNOT get arbitrary free spots.
 
 The cost function is the same admissible ``h`` as the optimal mode but
-truncated to a look-ahead window for scalability.
+truncated to a look-ahead window for scalability; the window is compiled
+once per pointer vector (see ``heuristic._windowed_cost``).
 """
 
 from __future__ import annotations
@@ -115,7 +116,10 @@ class HeuristicMapper:
         max_candidate_swaps: Size of the candidate-SWAP pool per expansion
             (ranked by how much they shorten blocked frontier distances).
         window: Look-ahead horizon (gates per qubit) for the truncated
-            cost function.
+            cost function.  The window under each pointer vector is
+            compiled once per problem (:meth:`MappingProblem.window_plan`,
+            keyed on ``(ptr, window)``), so every child sharing the
+            pointers scores only the window's two-qubit rows.
         greediness: Weight on the heuristic term (``f = t + w·h``).  The
             value 1 gives pure best-first on the admissible bound but
             explores cost plateaus breadth-first; values above 1 trade a
@@ -471,8 +475,8 @@ class HeuristicMapper:
         Mutates ``node.pos`` / ``node.inv`` in place (placement is a
         deterministic normalization, not a search decision).
         """
-        if all(p >= 0 for p in node.pos):
-            return
+        if min(node.pos, default=0) >= 0:
+            return  # every qubit placed (one C-level scan per child)
         pos = list(node.pos)
         inv = list(node.inv)
         dist = problem.dist

@@ -8,17 +8,42 @@ the architecture's distance matrix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..arch.coupling import CouplingGraph
 from ..circuit.circuit import Circuit
 from ..circuit.latency import LatencyModel, uniform_latency
 
 #: Cap on the per-problem memo dictionaries (``_pending_rows``,
-#: ``_active_masks``, and the compiled kernel's row cache).  A safety
-#: valve for enormous runs: past the cap the caches stop admitting new
-#: entries and count the overflow instead of growing without bound.
+#: ``_window_plans``, ``_active_masks``, and the compiled kernel's row
+#: cache).  A safety valve for enormous runs: past the cap the caches
+#: stop admitting new entries and count the overflow instead of growing
+#: without bound.
 PROBLEM_CACHE_CAP = 32768
+
+
+class WindowPlan(NamedTuple):
+    """One compiled look-ahead window (see :meth:`MappingProblem.window_plan`).
+
+    Attributes:
+        rows: The window's two-qubit gates in program order, as
+            ``(l1, l2, latency, run1, run2, before1, before2)``;
+            ``run1`` / ``run2`` are the total latency of the window's
+            single-qubit gates on each operand's chain since that chain's
+            previous two-qubit row, and ``before1`` / ``before2`` the
+            total latency of all the window's gates on that chain ahead
+            of the row (runs included).
+        tails: ``(logical, latency)`` of the window's single-qubit gates
+            after a chain's last two-qubit row, for chains where that
+            total is nonzero.
+        pending: Gates in the window after the cut.
+        truncated: True when the ``4 * window`` cut dropped gates.
+    """
+
+    rows: Tuple[Tuple[int, int, int, int, int, int, int], ...]
+    tails: Tuple[Tuple[int, int], ...]
+    pending: int
+    truncated: bool
 
 
 class MappingProblem:
@@ -105,17 +130,6 @@ class MappingProblem:
                 self.seq[q].append(index)
             self.gate_pos.append(positions)
 
-        # suffix_load[l][i] = total latency of seq[l][i:] — a qubit must
-        # run its remaining gates serially, so this is a cheap O(1) lower
-        # bound on its remaining busy time (used to keep the truncated
-        # practical-mode cost comparable across progress levels).
-        self.suffix_load: List[List[int]] = []
-        for logical in range(self.num_logical):
-            suffix = [0] * (len(self.seq[logical]) + 1)
-            for i in range(len(self.seq[logical]) - 1, -1, -1):
-                suffix[i] = suffix[i + 1] + self.gate_latency[self.seq[logical][i]]
-            self.suffix_load.append(suffix)
-
         self.dist = coupling.distance_matrix
         # The flattened matrix only depends on the coupling graph, so it
         # is memoized on the graph instance: every problem sharing the
@@ -163,6 +177,10 @@ class MappingProblem:
         #: only on the pointer vector, which far fewer distinct values
         #: take than there are generated nodes.
         self._pending_rows: Dict[Tuple[int, ...], Tuple] = {}
+        #: ``(ptr, window) -> WindowPlan`` cache for the practical
+        #: mapper's look-ahead scorer (see :meth:`window_plan`); capped
+        #: like ``_pending_rows``.
+        self._window_plans: Dict[Tuple[Tuple[int, ...], int], WindowPlan] = {}
         #: ``(pos, ptr) -> active-position bitmask`` cache for the
         #: expander's SWAP-candidate restriction (see
         #: :meth:`active_swap_mask`); capped like ``_pending_rows``.
@@ -268,6 +286,65 @@ class MappingProblem:
             else:
                 self.note_cache_overflow("pending_rows")
         return rows
+
+    def window_plan(self, ptr: Tuple[int, ...], window: int) -> WindowPlan:
+        """The look-ahead window of the practical mapper under ``ptr``.
+
+        The window holds the first ``window`` unstarted gates of every
+        qubit chain, merged in program order and cut to the earliest
+        ``4 * window`` gates.  The plan compiles it once per ``(ptr,
+        window)`` into the form the windowed scorer consumes (see
+        :class:`WindowPlan`), so the thousands of nodes that share a
+        pointer vector but differ in mapping or timing skip the set
+        union, sort and cut.  Capped at :data:`PROBLEM_CACHE_CAP` plans;
+        overflow is counted in ``cache_overflows``.
+        """
+        key = (ptr, window)
+        cache = self._window_plans
+        plan = cache.get(key)
+        if plan is None:
+            seq = self.seq
+            selected = set()
+            for logical in range(self.num_logical):
+                start = ptr[logical]
+                selected.update(seq[logical][start: start + window])
+            pending = sorted(selected)
+            truncated = len(pending) > 4 * window
+            if truncated:
+                pending = pending[: 4 * window]
+            gate_l1 = self.gate_l1
+            gate_l2 = self.gate_l2
+            gate_latency = self.gate_latency
+            run = [0] * self.num_logical
+            before = [0] * self.num_logical
+            rows = []
+            for gate in pending:
+                l1 = gate_l1[gate]
+                l2 = gate_l2[gate]
+                length = gate_latency[gate]
+                if l2 < 0:
+                    run[l1] += length
+                    before[l1] += length
+                else:
+                    rows.append((
+                        l1, l2, length,
+                        run[l1], run[l2], before[l1], before[l2],
+                    ))
+                    run[l1] = 0
+                    run[l2] = 0
+                    before[l1] += length
+                    before[l2] += length
+            plan = WindowPlan(
+                tuple(rows),
+                tuple((l, tail) for l, tail in enumerate(run) if tail),
+                len(pending),
+                truncated,
+            )
+            if len(cache) < PROBLEM_CACHE_CAP:
+                cache[key] = plan
+            else:
+                self.note_cache_overflow("window_plans")
+        return plan
 
     def active_swap_mask(
         self, pos: Tuple[int, ...], ptr: Tuple[int, ...]

@@ -252,15 +252,64 @@ class TestOptimizedMatchesReference:
             swap_aware=False,
         )
 
-    @pytest.mark.parametrize("window", [1, 2, 3])
-    def test_windowed_practical_search(self, window, monkeypatch):
-        """The practical mapper's truncated heuristic matches too."""
-        from repro.circuit.generators import qft_skeleton
+    @staticmethod
+    def _windowed_case(name):
+        from repro.arch import grid, ibm_tokyo
+        from repro.benchcircuits import benchmark_circuit
+        from repro.circuit import IBM_LATENCY
+        from repro.circuit.generators import qft_skeleton, random_circuit
+
+        if name == "qft5_lnn":
+            return qft_skeleton(5), lnn(5), uniform_latency(1, 3), True
+        if name == "rand6_grid_singles":
+            circuit = random_circuit(6, 24, two_qubit_fraction=0.5, seed=3)
+            return circuit, grid(2, 3), uniform_latency(1, 3), False
+        if name == "z4_268_tokyo":
+            circuit = benchmark_circuit("z4_268", scale_gate_cap=40)
+            return circuit, ibm_tokyo(), IBM_LATENCY, False
+        raise KeyError(name)
+
+    @pytest.mark.parametrize(
+        "name,window,features",
+        [
+            pytest.param("qft5_lnn", 1, set(), id="1"),
+            pytest.param("qft5_lnn", 2, set(), id="2"),
+            pytest.param("qft5_lnn", 3, set(), id="3"),
+            pytest.param(
+                "rand6_grid_singles", 2, {"runs", "tails", "unplaced"},
+                id="rand6_grid_singles-2",
+            ),
+            pytest.param(
+                "z4_268_tokyo", 3, {"runs", "tails", "unplaced", "truncated"},
+                id="z4_268_tokyo-3",
+            ),
+            pytest.param(
+                "z4_268_tokyo", 10, {"runs", "tails", "unplaced"},
+                id="z4_268_tokyo-10",
+            ),
+        ],
+    )
+    def test_windowed_practical_search(
+        self, name, window, features, monkeypatch
+    ):
+        """Every windowed score of a practical run matches the reference.
+
+        Patches the kernel seam the mapper's fast path scores memo misses
+        through (plus the mapper's own binding, used for the root), so
+        every evaluation of the run is checked: the count must equal the
+        memo misses plus the root.  ``features`` names the window-plan
+        shapes the case must reach: single-qubit runs folded into a row,
+        trailing single-qubit tails, unplaced operands (on-the-fly
+        placement) and the ``4 * window`` cut.
+        """
         from repro.core import HeuristicMapper
         from repro.core import heuristic_mapper as hm_mod
         from repro.core.heuristic import _heuristic_cost_reference
+        from repro.core.kernels import api as kernel_api
 
+        circuit, arch, latency, pinned = self._windowed_case(name)
         checked = [0]
+        seen = set()
 
         def checking(problem, node, window=None, swap_aware=True,
                      metrics=None, memo=None):
@@ -272,14 +321,25 @@ class TestOptimizedMatchesReference:
             )
             assert got == want
             checked[0] += 1
+            plan = problem.window_plan(node.ptr, window)
+            if any(row[3] or row[4] for row in plan.rows):
+                seen.add("runs")
+            if plan.tails:
+                seen.add("tails")
+            if plan.truncated:
+                seen.add("truncated")
+            if -1 in node.pos:
+                seen.add("unplaced")
             return got
 
+        monkeypatch.setattr(kernel_api, "heuristic_cost", checking)
         monkeypatch.setattr(hm_mod, "heuristic_cost", checking)
-        mapper = HeuristicMapper(
-            lnn(5), uniform_latency(1, 3), window=window
-        )
-        mapper.map(qft_skeleton(5), initial_mapping=list(range(5)))
-        assert checked[0] > 0
+        mapper = HeuristicMapper(arch, latency, window=window)
+        initial = list(range(circuit.num_qubits)) if pinned else None
+        result = mapper.map(circuit, initial_mapping=initial)
+        assert checked[0] == result.stats["memo_misses"] + 1
+        assert checked[0] > 1
+        assert features <= seen, f"{name}: reached only {sorted(seen)}"
 
 
 class TestMemoizationTransparency:
@@ -416,3 +476,99 @@ class TestWindowTruncationMetric:
         assert metrics.counter("heuristic.window_truncated").value == 1
         # Still a valid lower bound relative to the untruncated value.
         assert 0 < h <= heuristic_cost(problem, node)
+
+    def test_counters_count_evaluations_not_plans(self):
+        from repro.obs import MetricsRegistry
+
+        # The second evaluation reuses the cached window plan; the
+        # instrumented counters still count once per evaluation.
+        circuit = Circuit(10)
+        for a in range(0, 10, 2):
+            circuit.cx(a, a + 1)
+        problem = MappingProblem(circuit, lnn(10), uniform_latency(1, 3))
+        metrics = MetricsRegistry()
+        node = make_node(problem)
+        first = heuristic_cost(problem, node, window=1, metrics=metrics)
+        second = heuristic_cost(problem, node, window=1, metrics=metrics)
+        assert first == second
+        assert len(problem._window_plans) == 1
+        assert metrics.counter("heuristic.window_truncated").value == 2
+        assert metrics.counter("heuristic.calls").value == 2
+        pending = metrics.histogram("heuristic.pending_gates")
+        assert pending.count == 2
+        assert pending.total == 2 * 4
+
+
+class TestWindowPlan:
+    def test_runs_tails_and_cut(self):
+        # q0: h, cx(0,1);  q1: cx(0,1), h, h, cx(1,2);  q2: cx(1,2), h
+        circuit = Circuit(3).h(0).cx(0, 1).h(1).h(1).cx(1, 2).h(2)
+        problem = MappingProblem(circuit, lnn(3), uniform_latency(1, 3))
+        plan = problem.window_plan((0, 0, 0), 10)
+        assert plan.rows == (
+            (0, 1, 1, 1, 0, 1, 0), (1, 2, 1, 2, 0, 3, 0)
+        )
+        assert plan.tails == ((2, 1),)
+        assert (plan.pending, plan.truncated) == (6, False)
+        # Window 1 keeps each chain's next gate: h(0), cx(0,1), cx(1,2).
+        cut = problem.window_plan((0, 0, 0), 1)
+        assert cut.rows == ((0, 1, 1, 1, 0, 1, 0), (1, 2, 1, 0, 0, 1, 0))
+        assert cut.tails == ()
+        assert (cut.pending, cut.truncated) == (3, False)
+        # Past the first two gates, window 1 holds h(1) (q1's next gate)
+        # and cx(1,2) (q2's next gate): the h folds into that row, and
+        # the second h(1), past q1's window, is left out.
+        late = problem.window_plan((2, 1, 0), 1)
+        assert late.rows == ((1, 2, 1, 1, 0, 1, 0),)
+        assert late.tails == ()
+        assert (late.pending, late.truncated) == (2, False)
+        # Window 1 over five disjoint gates is cut to the first 4.
+        wide = Circuit(10)
+        for a in range(0, 10, 2):
+            wide.cx(a, a + 1)
+        wide_problem = MappingProblem(wide, lnn(10), uniform_latency(1, 3))
+        clipped = wide_problem.window_plan((0,) * 10, 1)
+        kept = [row[:2] for row in clipped.rows]
+        assert kept == [(0, 1), (2, 3), (4, 5), (6, 7)]
+        assert (clipped.pending, clipped.truncated) == (4, True)
+
+    def _tokyo_run(self, window=3, context=None):
+        from repro.arch import ibm_tokyo
+        from repro.benchcircuits import benchmark_circuit
+        from repro.circuit import IBM_LATENCY
+        from repro.core import HeuristicMapper
+
+        circuit = benchmark_circuit("z4_268", scale_gate_cap=40)
+        mapper = HeuristicMapper(ibm_tokyo(), IBM_LATENCY, window=window)
+        if context is not None:
+            mapper.arch_context = context
+        result = mapper.map(circuit)
+        stats = result.stats
+        return (
+            result.depth,
+            result.num_inserted_swaps,
+            stats["nodes_expanded"],
+            stats["nodes_generated"],
+        ), stats
+
+    def test_cache_cap_overflow_keeps_the_search(self, monkeypatch):
+        from repro.core import problem as problem_mod
+
+        want, want_stats = self._tokyo_run()
+        assert "problem_cache_overflow" not in want_stats
+        monkeypatch.setattr(problem_mod, "PROBLEM_CACHE_CAP", 1)
+        got, stats = self._tokyo_run()
+        assert got == want
+        assert stats["problem_cache_overflow"] > 0
+
+    def test_plans_keyed_by_window_on_a_shared_problem(self):
+        from repro.arch import ibm_tokyo
+        from repro.circuit import IBM_LATENCY
+        from repro.core.warmcache import ArchContext
+
+        fresh = {w: self._tokyo_run(w)[0] for w in (3, 10)}
+        context = ArchContext(ibm_tokyo(), IBM_LATENCY)
+        for window in (3, 10, 3, 10):
+            got = self._tokyo_run(window, context=context)[0]
+            assert got == fresh[window], window
+        assert context.problem_hits == 3

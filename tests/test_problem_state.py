@@ -35,12 +35,6 @@ class TestMappingProblem:
         assert problem.gate_latency == (1, 1, 1)
         assert problem.swap_len == 3
 
-    def test_suffix_load_is_remaining_latency(self):
-        problem = sample_problem()
-        # qubit 0: gates h (1) + cx (1) => suffix [2, 1, 0]
-        assert problem.suffix_load[0] == [2, 1, 0]
-        assert problem.suffix_load[2] == [1, 0]
-
     def test_is_gate_started(self):
         problem = sample_problem()
         assert not problem.is_gate_started(0, (0, 0, 0))
