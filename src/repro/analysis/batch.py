@@ -23,11 +23,12 @@ Two schedulers are available:
 Both schedulers (and the in-process ``max_workers=1`` path) can install
 a per-process **architecture warm cache** (``warm_cache=True``, see
 :mod:`repro.core.warmcache`): tasks targeting the same device share the
-distance matrix, automorphism group, SWAP-split LUT, heuristic memo and
-compiled-kernel capsule, with hit/miss/evict counters surfaced in the
-fleet rollup.  Warm-cache runs stay bit-identical to cold runs — every
-shared structure is a pure cache of values the search would recompute
-identically.
+distance matrix, automorphism group, SWAP-split LUT and compiled-kernel
+capsule, a repeated circuit reuses its problem, and a repeated request
+(same circuit and mapper settings) reuses the finished result.  Hit/miss
+counters for problems and results are surfaced in the fleet rollup.
+Warm-cache runs stay bit-identical to cold runs — every shared structure
+is a pure cache of values the search would recompute identically.
 
 Every successful record carries the mapper's ``stats`` dict, which all
 mappers in this library emit in the normalized schema
@@ -83,6 +84,7 @@ from ..obs.schema import (
     STAT_INCUMBENT_DEPTH,
     STAT_KERNEL_BACKEND,
     STAT_MODE2_ROOTS,
+    STAT_RESULT_REUSED,
     base_stats,
 )
 from ..obs.runtime import peak_rss_bytes
@@ -274,9 +276,14 @@ def _emit_worker_task(
     peak RSS, against how warm a cache) without reading coordinator
     state.  ``warm_cache`` carries the worker's *cumulative* counters;
     the rollup keeps each worker's last snapshot and sums across
-    workers."""
+    workers.  A reused result (``stats["result_reused"]``) ran no
+    search, so it reports zero ``nodes_expanded`` and fleet
+    ``nodes_per_sec`` counts only searches that actually ran."""
     if telemetry is None or telemetry.sink is None:
         return
+    nodes = 0
+    if not record.stats.get(STAT_RESULT_REUSED):
+        nodes = int(record.stats.get("nodes_expanded", 0) or 0)
     payload = {
         "type": "worker_task",
         "worker": os.getpid(),
@@ -287,7 +294,7 @@ def _emit_worker_task(
             round(max(0.0, queue_wait_s), 6)
             if queue_wait_s is not None else None
         ),
-        "nodes_expanded": int(record.stats.get("nodes_expanded", 0) or 0),
+        "nodes_expanded": nodes,
         "depth": record.depth,
         "peak_rss_bytes": record.peak_rss_bytes,
         "ts": time.time(),
@@ -677,8 +684,9 @@ def map_many(
             one-task leases, cost-descending, per-task crash containment
             with orphan retry) or ``"static"`` (legacy up-front chunking
             over a process pool; a dead worker fails its whole chunk).
-        warm_cache: Share per-architecture search artifacts across tasks
-            through :mod:`repro.core.warmcache`.  Bit-identical results;
+        warm_cache: Share per-architecture search artifacts, and the
+            finished results of repeated requests, across tasks through
+            :mod:`repro.core.warmcache`.  Bit-identical results;
             hit/miss/evict counters land in the fleet rollup.
         orphan_retries: Stealing scheduler only — how many times a task
             orphaned by a dead worker is retried on a replacement before

@@ -187,7 +187,7 @@ class PortfolioMapper:
         self.telemetry = telemetry
         #: Optional warm-cache context (installed by the batch runner);
         #: forwarded to the exact and heuristic lanes, which share its
-        #: problem/memo artifacts.
+        #: problems (the heuristic lane also reuses finished results).
         self.arch_context = None
 
     # ------------------------------------------------------------------

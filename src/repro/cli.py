@@ -1326,7 +1326,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch_cmd.add_argument(
         "--no-warm-cache", action="store_true",
         help="disable the per-worker architecture warm cache (shared "
-             "distance/automorphism/heuristic-memo artifacts)",
+             "distance/automorphism artifacts, problems and repeated "
+             "results)",
     )
     batch_cmd.add_argument(
         "--telemetry-dir", default=None, metavar="DIR",

@@ -438,12 +438,13 @@ class OptimalMapper:
         self.shared_incumbent = None
         #: Optional :class:`repro.core.warmcache.ArchContext` installed
         #: by the batch runner; shares per-architecture search artifacts
-        #: across tasks.  ``None`` builds a fresh problem per call.
+        #: and finished results across tasks.  ``None`` builds a fresh
+        #: problem per call.
         self.arch_context = None
 
     def _problem(self, circuit: Circuit) -> MappingProblem:
         """Build (or fetch from the warm cache) the problem instance."""
-        context = getattr(self, "arch_context", None)
+        context = self.arch_context
         if context is not None:
             return context.problem(circuit)
         return MappingProblem(circuit, self.coupling, self.latency)
@@ -467,6 +468,12 @@ class OptimalMapper:
             A :class:`MappingResult` with ``optimal=True`` (``False`` only
             when an anytime ``deadline`` expired and the best incumbent is
             returned instead).
+
+        With a warm-cache ``arch_context``, a repeat of an earlier request
+        returns a copy of the earlier result
+        (:meth:`~repro.core.warmcache.ArchContext.reuse`) unless telemetry
+        is on or the result depends on timing (``deadline``,
+        ``shared_incumbent``, ``mode2_workers``).
         """
         if (
             initial_mapping is None
@@ -482,8 +489,39 @@ class OptimalMapper:
                 self, circuit, max_workers=self.mode2_workers
             )
         problem = self._problem(circuit)
-        terminals = self._search(problem, initial_mapping, find_all=False)
-        return terminals[0]
+        context = self.arch_context
+        if (
+            context is None
+            or resolve(self.telemetry).enabled
+            or self.deadline is not None
+            or self.shared_incumbent is not None
+            or self.mode2_workers is not None
+        ):
+            return self._search(problem, initial_mapping, find_all=False)[0]
+        return context.reuse(
+            problem,
+            self._result_key(initial_mapping),
+            circuit,
+            lambda: self._search(problem, initial_mapping, find_all=False)[0],
+        )
+
+    def _result_key(self, initial_mapping: Optional[Sequence[int]]) -> tuple:
+        """Every setting the result of :meth:`map` depends on."""
+        return (
+            self.mapper_name,
+            self.search_initial_mapping,
+            self.try_swap_free_fast_path,
+            self.max_nodes,
+            self.max_seconds,
+            self.prune_swaps,
+            self.seed_incumbent,
+            self.reduce_symmetry,
+            self.informed,
+            self.dominance,
+            self.memoize,
+            resolve_backend(self.kernel).name,
+            None if initial_mapping is None else tuple(initial_mapping),
+        )
 
     def find_all_optimal(
         self,
@@ -719,18 +757,7 @@ class OptimalMapper:
             if incumbent is not None and incumbent.depth is not None:
                 shared.offer(incumbent.depth)
 
-        memo = None
-        if self.memoize:
-            context = getattr(self, "arch_context", None)
-            if context is not None:
-                # Warm-cache batch runs share the memo across repeats of
-                # the same circuit (pure evaluation cache; the config key
-                # pins the fixed (window, swap_aware) invariant).  The
-                # instrumented branch below still swaps in a metrics-bound
-                # per-run memo.
-                memo = context.memo(problem, ("optimal", self.informed))
-            else:
-                memo = HeuristicMemo()
+        memo = HeuristicMemo() if self.memoize else None
         total_gates = problem.num_gates
 
         def score(nodes: List[SearchNode]) -> None:

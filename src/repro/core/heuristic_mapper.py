@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time as _time
+from dataclasses import astuple
 from typing import List, Optional, Sequence, Tuple
 
 from ..arch.coupling import CouplingGraph
@@ -184,12 +185,13 @@ class HeuristicMapper:
         self.kernel = kernel
         #: Optional :class:`repro.core.warmcache.ArchContext` installed
         #: by the batch runner; shares per-architecture search artifacts
-        #: across tasks.  ``None`` builds a fresh problem per call.
+        #: and finished results across tasks.  ``None`` builds a fresh
+        #: problem per call.
         self.arch_context = None
 
     def _problem(self, circuit: Circuit) -> MappingProblem:
         """Build (or fetch from the warm cache) the problem instance."""
-        context = getattr(self, "arch_context", None)
+        context = self.arch_context
         if context is not None:
             return context.problem(circuit)
         return MappingProblem(circuit, self.coupling, self.latency)
@@ -207,8 +209,44 @@ class HeuristicMapper:
             initial_mapping: Optional full initial mapping; when omitted,
                 qubits are placed greedily as their first CNOT becomes
                 ready (Section 6.2).
+
+        With a warm-cache ``arch_context`` and telemetry off, a repeat of
+        an earlier request returns a copy of the earlier result
+        (:meth:`~repro.core.warmcache.ArchContext.reuse`).
         """
         problem = self._problem(circuit)
+        context = self.arch_context
+        if context is None or resolve(self.telemetry).enabled:
+            return self._map(problem, initial_mapping)
+        return context.reuse(
+            problem,
+            self._result_key(initial_mapping),
+            circuit,
+            lambda: self._map(problem, initial_mapping),
+        )
+
+    def _result_key(self, initial_mapping: Optional[Sequence[int]]) -> tuple:
+        """Every setting the result of :meth:`map` depends on."""
+        return (
+            self.mapper_name,
+            self.top_k,
+            self.queue_cap,
+            self.queue_trim,
+            astuple(self.config),
+            self.window,
+            self.greediness,
+            self.max_expansions_per_level,
+            self.memoize,
+            resolve_backend(self.kernel).name,
+            None if initial_mapping is None else tuple(initial_mapping),
+        )
+
+    def _map(
+        self,
+        problem: MappingProblem,
+        initial_mapping: Optional[Sequence[int]],
+    ) -> MappingResult:
+        """Search, quadrupling the per-level cap when the search dead-ends."""
         level_cap = self.max_expansions_per_level
         failure: Optional[RoutingFailed] = None
         for _attempt in range(3):
@@ -271,15 +309,7 @@ class HeuristicMapper:
 
         memo = None
         if self.memoize:
-            context = getattr(self, "arch_context", None)
-            if context is not None and not enabled:
-                # Warm-cache batch runs share the memo across repeats of
-                # the same circuit — sound because the memo key is a pure
-                # function of node state for a fixed (window, swap_aware)
-                # configuration, which the config key pins.
-                memo = context.memo(problem, ("heuristic", self.window))
-            else:
-                memo = HeuristicMemo(metrics=tele.metrics if enabled else None)
+            memo = HeuristicMemo(metrics=tele.metrics if enabled else None)
 
         if enabled:
             metrics = tele.metrics

@@ -3,11 +3,12 @@
 A corpus sweep maps hundreds of circuits against the *same* device
 (coupling graph + latency model).  Much of the per-task setup cost is
 architecture-bound and identical across tasks: the all-pairs distance
-matrix and automorphism group of the coupling graph, the SWAP-split LUT
-(a function of the latency model only), and — when the same circuit
-recurs in a request stream — the whole :class:`MappingProblem` with its
-pending-row / active-mask caches and the compiled kernel's packed
-capsule.
+matrix and automorphism group of the coupling graph and the SWAP-split
+LUT (a function of the latency model only).  When the same circuit
+recurs in a request stream, the whole :class:`MappingProblem` is shared
+too, with its pending-row / window-plan / active-mask caches and the
+compiled kernel's packed capsule — and so is every finished result
+mapped from it (:meth:`ArchContext.reuse`).
 
 This module keys those artifacts by an explicit **architecture
 fingerprint** (coupling + latency, hashed structurally) so every task a
@@ -15,36 +16,35 @@ worker process executes against the same device shares one
 :class:`ArchContext`.  Contexts live in a process-level registry: in a
 batch worker the first task pays the warm-up and the rest hit.
 
-Sharing is *transparent by construction*: every cached structure is a
-pure deterministic function of (circuit, coupling, latency) — caches of
-values the search would recompute identically — so warm-cache runs are
-bit-identical to cold runs.  The counters exist so the fleet rollup can
-prove the cache is actually hitting (see ``obs/export.py``).
+Sharing is *transparent by construction*.  The cached structures are
+pure deterministic functions of (circuit, coupling, latency), and a
+reused result is the one the same settings computed for the same
+problem, so warm-cache runs are bit-identical to cold runs — search
+counters included, since every search builds its own heuristic memo.
+The counters exist so the fleet rollup can prove the cache is actually
+hitting (see ``obs/export.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Optional
+from dataclasses import replace
+from typing import Callable, Dict, Hashable, Optional
 
 from ..arch.coupling import CouplingGraph
 from ..circuit.circuit import Circuit
 from ..circuit.latency import LatencyModel, uniform_latency
-from .heuristic import HeuristicMemo
+from ..obs.schema import STAT_RESULT_REUSED
 from .problem import MappingProblem
+from .result import MappingResult
 
 #: Default cap on fully-built ``MappingProblem`` instances retained per
-#: context (LRU).  Each problem carries per-circuit caches, so this
-#: bounds memory on corpora with many distinct circuits while keeping
-#: repeated circuits (the request-stream case) fully warm.
+#: context (LRU).  Each problem carries per-circuit caches and the
+#: results reused from it, so this bounds memory on corpora with many
+#: distinct circuits while keeping repeated circuits (the request-stream
+#: case) fully warm.
 DEFAULT_MAX_PROBLEMS = 64
-
-#: Size past which a retained heuristic memo is discarded and rebuilt
-#: rather than reused — bounds each memo at roughly one large run's
-#: footprint (the memos hang off LRU-managed problems, so eviction of
-#: the problem drops its memos too).
-MEMO_TABLE_CAP = 1 << 20
 
 
 def coupling_fingerprint(coupling: CouplingGraph) -> str:
@@ -98,6 +98,7 @@ class ArchContext:
             context (the split delay depends only on the latency model's
             ``swap_len``, never on the circuit).
         problem_hits / problem_misses / problem_evictions: LRU counters.
+        result_hits / result_misses: :meth:`reuse` counters.
     """
 
     def __init__(
@@ -115,6 +116,8 @@ class ArchContext:
         self.problem_hits = 0
         self.problem_misses = 0
         self.problem_evictions = 0
+        self.result_hits = 0
+        self.result_misses = 0
         # Pay the architecture-bound warm-up once, up front: the
         # distance matrix is built by CouplingGraph.__init__, the
         # automorphism group and flattened distance table are memoized
@@ -149,30 +152,43 @@ class ArchContext:
             self.problem_evictions += 1
         return built
 
-    def memo(self, problem: MappingProblem, config_key) -> HeuristicMemo:
-        """Persistent heuristic memo for ``(problem, search config)``.
+    def reuse(
+        self,
+        problem: MappingProblem,
+        key: Hashable,
+        circuit: Circuit,
+        compute: Callable[[], MappingResult],
+    ) -> MappingResult:
+        """The result ``compute`` returns for ``(problem, key)``, once.
 
-        The memo is a pure evaluation cache keyed on node signatures, so
-        repeated maps of the same circuit under the same search
-        configuration skip re-evaluating every previously seen state —
-        while staying bit-identical (a hit returns exactly the value a
-        recomputation would).  ``config_key`` must pin every parameter
-        the memo's soundness invariant fixes (window, swap-awareness);
-        callers use disjoint key spaces per mapper type.
-
-        Memos hang off the problem instance, so the problem LRU bounds
-        their lifetime; a memo that grew past :data:`MEMO_TABLE_CAP` is
-        replaced rather than reused.
+        ``key`` must pin every mapper setting the result depends on; the
+        problem already pins circuit structure, device and latency.  The
+        first call runs ``compute`` and keeps a private copy on the
+        problem, so the problem LRU bounds the stored results.  Every
+        call returns a fresh copy bound to the caller's ``circuit``
+        (circuits with equal structure share one problem) with its own
+        ``ops`` list and ``stats`` dict; hits carry
+        ``stats["result_reused"] = 1``.  Exceptions from ``compute``
+        propagate and nothing is stored.
         """
-        pool = getattr(problem, "_warm_memos", None)
-        if pool is None:
-            pool = {}
-            problem._warm_memos = pool
-        memo = pool.get(config_key)
-        if memo is None or len(memo.table) > MEMO_TABLE_CAP:
-            memo = HeuristicMemo()
-            pool[config_key] = memo
-        return memo
+        results = getattr(problem, "_warm_results", None)
+        if results is None:
+            results = problem._warm_results = {}
+        stored = results.get(key)
+        if stored is None:
+            self.result_misses += 1
+            stored = compute()
+            results[key] = replace(
+                stored, ops=list(stored.ops), stats=dict(stored.stats)
+            )
+            return replace(stored, circuit=circuit)
+        self.result_hits += 1
+        return replace(
+            stored,
+            circuit=circuit,
+            ops=list(stored.ops),
+            stats={**stored.stats, STAT_RESULT_REUSED: 1},
+        )
 
     def counters(self) -> Dict[str, int]:
         """Snapshot of this context's hit/miss/evict counters."""
@@ -181,6 +197,8 @@ class ArchContext:
             "problem_misses": self.problem_misses,
             "problem_evictions": self.problem_evictions,
             "problems_retained": len(self._problems),
+            "result_hits": self.result_hits,
+            "result_misses": self.result_misses,
         }
 
 
@@ -230,12 +248,16 @@ class WarmCachePool:
             "problem_hits": 0,
             "problem_misses": 0,
             "problem_evictions": 0,
+            "result_hits": 0,
+            "result_misses": 0,
             "contexts": len(self._contexts),
         }
         for context in self._contexts.values():
             totals["problem_hits"] += context.problem_hits
             totals["problem_misses"] += context.problem_misses
             totals["problem_evictions"] += context.problem_evictions
+            totals["result_hits"] += context.result_hits
+            totals["result_misses"] += context.result_misses
         return totals
 
     def reset(self) -> None:

@@ -75,6 +75,8 @@ STAT_LANES_FINISHED = "lanes_finished"
 STAT_WINNER_LANE = "winner_lane"
 # Which kernel backend scored/filtered the search (pure/compiled):
 STAT_KERNEL_BACKEND = "kernel_backend"
+# Set to 1 on a warm-cache copy of an earlier result (no search ran):
+STAT_RESULT_REUSED = "result_reused"
 
 # -- canonical mapper names ---------------------------------------------
 MAPPER_TOQM_OPTIMAL = "toqm-optimal"

@@ -13,6 +13,7 @@ predicate must match its written definition.
 from unittest import mock
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.arch import grid, lnn
@@ -147,6 +148,33 @@ def test_every_bound_is_individually_ablatable(circuit, latency):
         ).map(circuit)
         assert result.optimal, lever
         assert result.depth == baseline, lever
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="mode-2 prefix nodes are heap-keyed on their own f, which does "
+    "not bound their prefix descendants, so the first terminal popped "
+    "need not be optimal",
+)
+def test_unseeded_mode2_reaches_the_seeded_optimum():
+    """Known defect, pinned: unseeded mode 2 stops at depth 4, not 3.
+
+    Mode 1 from mapping ``(2, 1, 0, 3)`` (three free SWAP layers from the
+    identity) schedules depth 3, and the seeded search finds it because
+    the heuristic incumbent prunes the depth-4 terminal.  Unseeded, the
+    search pops that terminal first and marks it optimal.
+    """
+    circuit = Circuit(4).cx(0, 1).cx(1, 2).cx(1, 3)
+    arch, latency = lnn(4), uniform_latency(1, 1)
+    reachable = OptimalMapper(arch, latency).map(
+        circuit, initial_mapping=(2, 1, 0, 3)
+    )
+    assert reachable.depth == 3
+    result = OptimalMapper(
+        arch, latency, search_initial_mapping=True, seed_incumbent=False
+    ).map(circuit)
+    assert result.optimal
+    assert result.depth == reachable.depth
 
 
 # ---------------------------------------------------------------------------

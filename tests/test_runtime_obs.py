@@ -314,6 +314,33 @@ class TestFleetRollup:
         )
         assert rollup["fleet"]["nodes_expanded"] == total_nodes
 
+    def test_reused_results_count_no_nodes_in_the_fleet(self, tmp_path):
+        # Three circuits, each requested three times: the warm cache
+        # serves six repeats from finished results.
+        tasks = [
+            BatchTask(
+                label=f"req-{index}",
+                circuit=random_circuit(4, 6, seed=index % 3),
+                mapper=OptimalMapper(lnn(4), uniform_latency(1, 3)),
+            )
+            for index in range(9)
+        ]
+        spec = TelemetrySpec(directory=str(tmp_path))
+        records = map_many(tasks, max_workers=1, warm_cache=True,
+                           telemetry_spec=spec)
+        reused = [r for r in records if r.stats.get("result_reused")]
+        assert [r.label for r in reused] == [
+            f"req-{index}" for index in range(3, 9)
+        ]
+        # Reused records keep the searched counters for identity checks.
+        assert sum(r.stats["nodes_expanded"] for r in reused) > 0
+        fleet = fleet_rollup(str(tmp_path))["fleet"]
+        assert fleet["nodes_expanded"] == sum(
+            r.stats["nodes_expanded"] for r in records[:3]
+        )
+        assert fleet["warm_cache"]["result_hits"] == 6
+        assert fleet["warm_cache"]["result_misses"] == 3
+
     def test_mode2_fanout_writes_root_records(self, tmp_path):
         mapper = OptimalMapper(
             lnn(4), uniform_latency(1, 3), search_initial_mapping=True

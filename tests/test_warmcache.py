@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.analysis.batch import SharedBound
 from repro.arch import grid, lnn
 from repro.circuit import IBM_LATENCY, uniform_latency
 from repro.circuit.generators import qft_skeleton, random_circuit
 from repro.core import HeuristicMapper, OptimalMapper
+from repro.core.astar import SearchBudgetExceeded
+from repro.core.result import MappingResult
 from repro.core.warmcache import (
     ArchContext,
     WarmCachePool,
@@ -14,6 +17,7 @@ from repro.core.warmcache import (
     coupling_fingerprint,
     latency_fingerprint,
 )
+from repro.obs import Telemetry
 
 
 class TestFingerprints:
@@ -72,12 +76,39 @@ class TestArchContextLru:
         p2 = context.problem(random_circuit(4, 6, seed=1))
         assert p1.split_lut is p2.split_lut is context.split_lut
 
-    def test_memo_persists_per_config_key(self):
+    def test_reuse_computes_once_per_key(self):
         context = ArchContext(lnn(4), uniform_latency(1, 3))
-        problem = context.problem(random_circuit(4, 6, seed=0))
-        memo = context.memo(problem, ("heuristic", None))
-        assert context.memo(problem, ("heuristic", None)) is memo
-        assert context.memo(problem, ("optimal", True)) is not memo
+        circuit = random_circuit(4, 6, seed=0)
+        problem = context.problem(circuit)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return MappingResult(circuit, context.coupling, context.latency,
+                                 (0, 1, 2, 3), [], 0, stats={"n": 1})
+
+        first = context.reuse(problem, "a", circuit, compute)
+        again = context.reuse(problem, "a", circuit, compute)
+        other = context.reuse(problem, "b", circuit, compute)
+        assert len(calls) == 2  # "a" once, "b" once
+        assert (context.result_hits, context.result_misses) == (1, 2)
+        assert "result_reused" not in first.stats
+        assert "result_reused" not in other.stats
+        assert again.stats == {"n": 1, "result_reused": 1}
+        assert again is not first and again.ops is not first.ops
+
+    def test_reuse_stores_nothing_when_compute_raises(self):
+        context = ArchContext(lnn(4), uniform_latency(1, 3))
+        circuit = random_circuit(4, 6, seed=0)
+        problem = context.problem(circuit)
+
+        def compute():
+            raise RuntimeError("boom")
+
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="boom"):
+                context.reuse(problem, "a", circuit, compute)
+        assert (context.result_hits, context.result_misses) == (0, 2)
 
 
 class TestWarmCachePool:
@@ -104,8 +135,24 @@ class TestWarmCachePool:
         totals = pool.counters()
         assert totals["problem_hits"] == 1
         assert totals["problem_misses"] == 1
+        assert totals["result_hits"] == totals["result_misses"] == 0
         pool.reset()
         assert pool.counters()["contexts"] == 0
+
+
+#: Every search counter a result carries; warm runs must match cold ones.
+SEARCH_COUNTERS = (
+    "nodes_expanded", "nodes_generated", "filtered_equivalent",
+    "filtered_dominated", "pruned_by_bound", "closed_dominated",
+    "queue_trims", "killed", "distinct_states", "incumbent_updates",
+    "swaps_restricted", "symmetry_pruned", "root_candidates_restricted",
+    "memo_hits", "memo_misses",
+)
+
+
+def _warm(mapper, device, latency):
+    mapper.arch_context = WarmCachePool().context(device, latency)
+    return mapper
 
 
 class TestWarmBitIdentity:
@@ -117,26 +164,141 @@ class TestWarmBitIdentity:
         circuit = qft_skeleton(5)
 
         cold = mapper_cls(device, latency).map(circuit)
-        warm_mapper = mapper_cls(device, latency)
-        warm_mapper.arch_context = WarmCachePool().context(device, latency)
+        warm_mapper = _warm(mapper_cls(device, latency), device, latency)
         runs = [warm_mapper.map(circuit) for _ in range(3)]
 
         for result in runs:
             assert result.depth == cold.depth
             assert result.ops == cold.ops
             assert result.initial_mapping == cold.initial_mapping
-            assert (
-                result.stats["nodes_expanded"]
-                == cold.stats["nodes_expanded"]
-            )
+            for key in SEARCH_COUNTERS:
+                assert result.stats.get(key) == cold.stats.get(key), key
 
-    def test_warm_repeat_hits_the_memo(self):
+    @pytest.mark.parametrize("mapper_cls", [HeuristicMapper, OptimalMapper])
+    def test_warm_repeat_is_served_from_the_context(self, mapper_cls):
+        device, latency = lnn(5), uniform_latency(1, 3)
+        mapper = _warm(mapper_cls(device, latency), device, latency)
+        first = mapper.map(qft_skeleton(5))
+        caller_circuit = qft_skeleton(5)  # equal structure, new object
+        second = mapper.map(caller_circuit)
+        context = mapper.arch_context
+        assert (context.result_hits, context.result_misses) == (1, 1)
+        assert second.stats["result_reused"] == 1
+        assert "result_reused" not in first.stats
+        assert second.ops == first.ops
+        assert second.depth == first.depth
+        assert second.initial_mapping == first.initial_mapping
+        assert second.circuit is caller_circuit
+
+    @pytest.mark.parametrize("mapper_cls", [HeuristicMapper, OptimalMapper])
+    def test_mutating_a_result_does_not_leak_into_the_next_hit(
+        self, mapper_cls
+    ):
         device, latency = lnn(5), uniform_latency(1, 3)
         circuit = qft_skeleton(5)
-        mapper = HeuristicMapper(device, latency)
-        mapper.arch_context = WarmCachePool().context(device, latency)
-        first = mapper.map(circuit)
-        second = mapper.map(circuit)
-        # The second run re-sees every state the first evaluated.
-        assert second.stats["memo_hits"] > first.stats["memo_hits"]
-        assert mapper.arch_context.problem_hits >= 1
+        mapper = _warm(mapper_cls(device, latency), device, latency)
+        for result in (mapper.map(circuit), mapper.map(circuit)):
+            ops, depth = list(result.ops), result.depth
+            result.ops.clear()
+            result.stats["nodes_expanded"] = -1
+            result.stats["extra"] = "mine"
+            hit = mapper.map(circuit)
+            assert hit.ops == ops and hit.depth == depth
+            assert hit.stats["nodes_expanded"] > 0
+            assert "extra" not in hit.stats
+
+
+class TestResultReuseBypass:
+    """Results that depend on timing or carry telemetry are recomputed."""
+
+    @staticmethod
+    def _assert_recomputed(mapper, circuit):
+        _warm(mapper, mapper.coupling, mapper.latency)
+        first, second = mapper.map(circuit), mapper.map(circuit)
+        assert mapper.arch_context.result_hits == 0
+        assert mapper.arch_context.result_misses == 0
+        assert "result_reused" not in second.stats
+        assert second.depth == first.depth
+
+    @pytest.mark.parametrize("mapper_cls", [HeuristicMapper, OptimalMapper])
+    def test_telemetry_enabled_recomputes(self, mapper_cls):
+        device, latency = lnn(4), uniform_latency(1, 3)
+        mapper = mapper_cls(device, latency, telemetry=Telemetry())
+        self._assert_recomputed(mapper, qft_skeleton(4))
+
+    @pytest.mark.parametrize("setting", [
+        {"deadline": 30.0},
+        {"mode2_workers": 1, "search_initial_mapping": True},
+    ])
+    def test_timing_dependent_settings_recompute(self, setting):
+        mapper = OptimalMapper(lnn(4), uniform_latency(1, 3), **setting)
+        self._assert_recomputed(mapper, qft_skeleton(4))
+
+    def test_shared_incumbent_recomputes(self):
+        device, latency = lnn(4), uniform_latency(1, 3)
+        mapper = _warm(OptimalMapper(device, latency), device, latency)
+        for _ in range(2):
+            # A bound shared with the first run would prune the second
+            # run to exhaustion; each request gets its own.
+            mapper.shared_incumbent = SharedBound()
+            result = mapper.map(qft_skeleton(4))
+            assert "result_reused" not in result.stats
+        context = mapper.arch_context
+        assert (context.result_hits, context.result_misses) == (0, 0)
+
+    def test_budget_failure_is_not_stored(self):
+        device, latency = lnn(6), uniform_latency(1, 3)
+        mapper = _warm(
+            OptimalMapper(device, latency, max_nodes=5), device, latency
+        )
+        for _ in range(2):
+            with pytest.raises(SearchBudgetExceeded):
+                mapper.map(qft_skeleton(6))
+        context = mapper.arch_context
+        assert (context.result_hits, context.result_misses) == (0, 2)
+
+
+class TestResultReuseKeys:
+    """Requests differing in any result-affecting setting never collide."""
+
+    def test_window_is_part_of_the_key(self):
+        device, latency = lnn(5), uniform_latency(1, 3)
+        context = WarmCachePool().context(device, latency)
+        for window in (1, 10):
+            mapper = HeuristicMapper(device, latency, window=window)
+            mapper.arch_context = context
+            circuit = qft_skeleton(5)  # one shared problem, new objects
+            warm = mapper.map(circuit)
+            cold = HeuristicMapper(device, latency, window=window).map(
+                circuit
+            )
+            assert "result_reused" not in warm.stats
+            assert warm.stats["memo_misses"] == cold.stats["memo_misses"]
+            assert warm.circuit is circuit
+        assert context.result_hits == 0
+
+    @pytest.mark.parametrize("mapper_cls", [HeuristicMapper, OptimalMapper])
+    def test_initial_mapping_is_part_of_the_key(self, mapper_cls):
+        device, latency = lnn(4), uniform_latency(1, 3)
+        circuit = qft_skeleton(4)
+        mapper = _warm(mapper_cls(device, latency), device, latency)
+        for mapping in ((0, 1, 2, 3), (3, 2, 1, 0)):
+            warm = mapper.map(circuit, initial_mapping=list(mapping))
+            assert warm.initial_mapping == mapping
+        assert mapper.arch_context.result_hits == 0
+        again = mapper.map(circuit, initial_mapping=(3, 2, 1, 0))
+        assert again.initial_mapping == (3, 2, 1, 0)
+        assert mapper.arch_context.result_hits == 1
+
+    def test_max_nodes_is_part_of_the_key(self):
+        device, latency = lnn(6), uniform_latency(1, 3)
+        circuit = qft_skeleton(6)
+        context = WarmCachePool().context(device, latency)
+        unbounded = OptimalMapper(device, latency)
+        unbounded.arch_context = context
+        unbounded.map(circuit)
+        budgeted = OptimalMapper(device, latency, max_nodes=5)
+        budgeted.arch_context = context
+        with pytest.raises(SearchBudgetExceeded):
+            budgeted.map(circuit)
+        assert (context.result_hits, context.result_misses) == (0, 2)
