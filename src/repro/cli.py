@@ -196,10 +196,9 @@ def _build_telemetry(args, run_id: Optional[str] = None) -> Optional[Telemetry]:
     """Telemetry context for ``map``; None when no flag asks for one.
 
     Span/metrics/progress flags instrument the search itself
-    (``hot_path=True`` — the mapper runs its instrumented branch);
-    ``--sample-resources`` / ``--profile`` alone attach only the
-    flight recorder, leaving the search on the uninstrumented fast
-    path.
+    (``hot_path=True`` — the mapper records spans, counters and
+    progress); ``--sample-resources`` / ``--profile`` alone attach only
+    the flight recorder, which records none of those.
     """
     search_trace_path = getattr(args, "search_trace", None)
     hot_path = bool(

@@ -17,17 +17,19 @@ circuit (Theorem 5.2).  ``find_all_optimal`` keeps popping to enumerate
 every distinct optimal schedule (Appendix B) — modulo schedules the state
 filter identifies, which reach identical states at identical cycles.
 
-Observability: pass a :class:`~repro.obs.Telemetry` to record nested spans
-(``search`` > ``expand`` > ``heuristic``/``filter``, plus ``prefix``),
-metrics snapshotable at any point, and periodic
-:class:`~repro.obs.SearchProgressEvent`\\ s.  With no telemetry attached the
-search runs the uninstrumented branch — one flag check per expansion.
+Observability: pass a :class:`~repro.obs.Telemetry` to record spans
+(``search`` around ``prefix`` / ``expand`` / ``filter`` / ``heuristic``,
+one per batch call of the fan-out step), ``search.*`` metrics
+snapshotable at any point, periodic
+:class:`~repro.obs.SearchProgressEvent`\\ s and the expansion-level
+search trace.  Telemetry observes the one search loop from outside: with
+or without it the search calls the same kernel backend steps, so a traced
+run measures the program it observes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import itertools
 import time as _time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -57,6 +59,7 @@ from ..obs.trace import (
     PRUNE_IDEAL_DEPTH,
     PRUNE_INCUMBENT_BOUND,
     PRUNE_ROOT_RESTRICTION,
+    PRUNE_SWAP_RESTRICTION,
     PRUNE_SYMMETRY,
 )
 from ..obs.tracer import (
@@ -67,10 +70,10 @@ from ..obs.tracer import (
     SPAN_SEARCH,
 )
 from .bounds import root_mapping_allowed, root_restriction_pairs
-from .expander import OPTIMAL_EXPANSION, PRUNED_OPTIMAL_EXPANSION, expand
+from .expander import OPTIMAL_EXPANSION, PRUNED_OPTIMAL_EXPANSION
 from .filters import StateFilter
 from .gcpause import pause_gc
-from .heuristic import HeuristicMemo, heuristic_cost
+from .heuristic import HeuristicMemo
 from .heuristic_mapper import incumbent_result
 from .kernels import resolve_backend
 from .problem import MappingProblem
@@ -116,6 +119,24 @@ def _canonical_mapping(
         if best is None or candidate < best:
             best = candidate
     return best
+
+
+def _terminal_segments(
+    children: List[SearchNode], total_gates: int
+) -> List[List[SearchNode]]:
+    """``children`` cut after every terminal child (``[children]`` when
+    none is terminal, the common case)."""
+    segments: List[List[SearchNode]] = []
+    start = 0
+    for index, child in enumerate(children):
+        if child.started == total_gates and not child.inflight:
+            segments.append(children[start:index + 1])
+            start = index + 1
+    if start == 0:
+        return [children]
+    if start < len(children):
+        segments.append(children[start:])
+    return segments
 
 
 def _recurse_prefix_swaps(
@@ -386,8 +407,10 @@ class OptimalMapper:
             effective signature (pointers, post-SWAP mapping, relative
             in-flight profile).  Purely an evaluation cache — node counts
             and depths are identical with it on or off.
-        telemetry: Optional observability context; ``None`` runs the
-            uninstrumented fast path.
+        telemetry: Optional observability context (spans, metrics,
+            progress events, search trace).  It observes the same search
+            loop and kernel calls as a run without it; ``None`` records
+            nothing.
     """
 
     #: Stats label this mapper writes into ``MappingResult.stats``.
@@ -577,11 +600,8 @@ class OptimalMapper:
             )
 
         if initial_mapping is not None:
-            if sorted(set(initial_mapping)) != sorted(initial_mapping) or len(
-                initial_mapping
-            ) != num_logical:
-                raise ValueError("initial mapping must be injective over logicals")
-            return [make_root(initial_mapping, -1)], False, None
+            pos = problem.check_initial_mapping(initial_mapping)
+            return [make_root(pos, -1)], False, None
 
         if not self.search_initial_mapping:
             return [make_root(range(num_logical), -1)], False, None
@@ -651,15 +671,11 @@ class OptimalMapper:
         start_clock = _time.perf_counter()
         enabled = tele.enabled
         tracer = tele.tracer
-        # Expansion-level trace recorder.  Tracing rides the instrumented
-        # branch: ``trace`` is always None on the fast path, so the only
-        # cost tracing adds to an untraced run is the existing single
-        # ``enabled`` check per expansion.
+        # Expansion-level trace recorder; ``None`` without telemetry.
         trace = tele.search_trace if enabled else None
         kernel = resolve_backend(self.kernel)
         heappush = kernel.heappush
         heappop = kernel.heappop
-        kernel_expand = kernel.expand
         roots, prefix_mode, fast_mapping = self._roots(problem, initial_mapping)
         # Closed-node dominance (see StateFilter) and the root-mapping
         # restriction (see bounds.root_restriction_pairs) are loss-free
@@ -757,10 +773,12 @@ class OptimalMapper:
             if incumbent is not None and incumbent.depth is not None:
                 shared.offer(incumbent.depth)
 
-        memo = HeuristicMemo() if self.memoize else None
+        memo = None
+        if self.memoize:
+            memo = HeuristicMemo(metrics=tele.metrics if enabled else None)
         total_gates = problem.num_gates
 
-        def score(nodes: List[SearchNode]) -> None:
+        def score_batch(nodes: List[SearchNode]) -> None:
             """Assign h and f for a fan-out batch via the kernel backend."""
             kernel.heuristic_batch(
                 problem, nodes, swap_aware=self.informed, memo=memo
@@ -785,6 +803,12 @@ class OptimalMapper:
                     # An improving terminal has time < bound and h == 0,
                     # hence f < bound — this prune never discards one.
                     pruned_by_bound += 1
+                    if trace is not None:
+                        trace.prune(
+                            PRUNE_IDEAL_DEPTH if node.in_prefix
+                            else PRUNE_INCUMBENT_BOUND,
+                            node=node,
+                        )
                     return
             if (
                 node.started == total_gates
@@ -794,82 +818,65 @@ class OptimalMapper:
                 bound = node.time
                 incumbent_node = node
                 incumbent_updates += 1
+                if trace is not None:
+                    trace.incumbent(bound, INCUMBENT_TERMINAL)
                 state_filter.kill_above_bound(bound)
                 if shared is not None:
                     shared.offer(bound)
             heappush(heap, (f, -node.started, next(counter), node))
 
+        # Each batch step runs inside its span when spans are recorded;
+        # otherwise the bare functions are called.
+        expand_children = tracer.wrap(SPAN_EXPAND, kernel.expand)
+        expand_prefix = tracer.wrap(SPAN_PREFIX, self._expand_prefix)
+        admit_children = tracer.wrap(SPAN_FILTER, state_filter.admit_all)
+        score = tracer.wrap(SPAN_HEURISTIC, score_batch)
+
+        def fan_out(
+            batch: List[SearchNode], children: List[SearchNode]
+        ) -> None:
+            """Queue ``batch`` (roots or free prefix children, which bypass
+            the state filter) and the admitted ``children``: one kernel
+            scoring batch, then pushes in order.
+
+            Scoring is bound-independent, so batching reorders nothing —
+            except that pushing a terminal child can tighten the bound and
+            kill filter entries its later siblings are admitted against.
+            The children therefore go through in segments that each end at
+            a terminal child (almost always one segment).
+            """
+            for segment in _terminal_segments(children, total_gates):
+                admit_children(segment, batch)
+                score(batch)
+                for node in batch:
+                    push(node)
+                batch = []
+
         if enabled:
             metrics = tele.metrics
-            m_expanded = metrics.counter("search.nodes_expanded")
-            m_generated = metrics.counter("search.nodes_generated")
+            search_metrics = [
+                metrics.counter(name)
+                for name in (
+                    "search.nodes_expanded",
+                    "search.nodes_generated",
+                    "search.pruned_by_bound",
+                    "search.incumbent_updates",
+                )
+            ]
+            published = [0] * len(search_metrics)
             m_heap = metrics.gauge("search.heap_size")
             m_frontier = metrics.gauge("search.best_f")
-            m_heuristic_latency = metrics.histogram(
-                "heuristic.latency_s", scale=1e-6
-            )
+            m_incumbent_depth = metrics.gauge("search.incumbent_depth")
             progress_every = tele.progress_every
 
-            if memo is not None:
-                memo = HeuristicMemo(metrics=metrics)
-            m_pruned_bound = metrics.counter("search.pruned_by_bound")
-            m_incumbent_updates = metrics.counter("search.incumbent_updates")
-            m_incumbent_depth = metrics.gauge("search.incumbent_depth")
+        def publish_counters() -> None:
+            """Bring the ``search.*`` metrics up to the loop's integers."""
+            values = (expanded, generated, pruned_by_bound, incumbent_updates)
+            for metric, value, old in zip(search_metrics, values, published):
+                metric.inc(value - old)
+            published[:] = values
             if bound is not None:
                 m_incumbent_depth.set(bound)
-
-            def score(nodes: List[SearchNode]) -> None:  # noqa: F811
-                # Instrumented runs keep per-node evaluation: the push
-                # variant below times and attributes each one.
-                pass
-
-            def push(node: SearchNode) -> None:  # noqa: F811 - timed variant
-                nonlocal bound, incumbent_node
-                nonlocal pruned_by_bound, incumbent_updates
-                with tracer.span(SPAN_HEURISTIC):
-                    t0 = _time.perf_counter()
-                    node.h = heuristic_cost(
-                        problem,
-                        node,
-                        swap_aware=self.informed,
-                        metrics=metrics,
-                        memo=memo,
-                    )
-                    m_heuristic_latency.observe(_time.perf_counter() - t0)
-                f = node.time + node.h
-                node.f = f
-                # Same prune as the untimed variant: f-based for real
-                # nodes, all-to-all critical path for prefix nodes.
-                if bound is not None:
-                    lb = ideal_lb if node.in_prefix else f
-                    if lb > bound or (prune_eq and lb >= bound):
-                        pruned_by_bound += 1
-                        m_pruned_bound.inc()
-                        if trace is not None:
-                            trace.prune(
-                                PRUNE_IDEAL_DEPTH if node.in_prefix
-                                else PRUNE_INCUMBENT_BOUND,
-                                node=node,
-                            )
-                        return
-                if (
-                    node.started == total_gates
-                    and not node.inflight
-                    and (bound is None or node.time < bound)
-                ):
-                    bound = node.time
-                    incumbent_node = node
-                    incumbent_updates += 1
-                    m_incumbent_updates.inc()
-                    m_incumbent_depth.set(bound)
-                    if trace is not None:
-                        trace.incumbent(bound, INCUMBENT_TERMINAL)
-                    state_filter.kill_above_bound(bound)
-                    if shared is not None:
-                        shared.offer(bound)
-                heappush(
-                    heap, (f, -node.started, next(counter), node)
-                )
 
         root_batch: List[SearchNode] = []
         for root in roots:
@@ -886,24 +893,21 @@ class OptimalMapper:
                         continue
                     canon_seen.add(canon)
             root_batch.append(root)
-        # Scoring is bound-independent, so batch-scoring the surviving
-        # roots then pushing them in order is identical to the old
-        # score-inside-push sequence.
-        score(root_batch)
-        for root in root_batch:
-            push(root)
-        pushed_roots = len(root_batch)
-
         expanded = 0
-        generated = pushed_roots
-        if enabled:
-            m_generated.inc(generated)
+        generated = len(root_batch)
+        fan_out(root_batch, [])
         redundant = 0
         best_depth: Optional[int] = None
         solutions: List[MappingResult] = []
 
         def make_stats(**extra) -> Dict[str, float]:
-            """Normalized counters at this instant (success or budget)."""
+            """Normalized counters at this instant (success or budget).
+
+            Every exit of the search builds stats, so this is also where
+            the ``search.*`` metrics receive their final values.
+            """
+            if enabled:
+                publish_counters()
             if memo is not None:
                 extra.setdefault("memo_hits", memo.hits)
                 extra.setdefault("memo_misses", memo.misses)
@@ -1046,7 +1050,7 @@ class OptimalMapper:
                         trace.incumbent(bound, INCUMBENT_SHARED)
                     state_filter.kill_above_bound(bound)
             if enabled:
-                m_expanded.inc()
+                publish_counters()
                 if trace is not None:
                     trace.expand(node, heap_size=len(heap))
                 if expanded % progress_every == 0:
@@ -1070,104 +1074,52 @@ class OptimalMapper:
                         )
                     )
 
-            if not enabled:
-                # Fast path: identical to the instrumented branch below
-                # minus every span/metric touch, restructured to score the
-                # whole fan-out as one kernel batch (admit first, then
-                # batch-score the admitted children, then push in order).
-                # Scoring is bound-independent, so this reorders nothing —
-                # except when a fan-out contains a terminal child, whose
-                # push tightens the bound and kills filter entries between
-                # sibling admits; that rare case (at most one per
-                # incumbent update) keeps the sequential order.
-                batch: List[SearchNode] = []
-                if node.in_prefix:
-                    for child in self._expand_prefix(
-                        problem, node, prefix_cap, seen_prefix_mappings,
-                        auts, canon_seen, expand_counters,
-                    ):
-                        generated += 1
-                        batch.append(child)
-                    if root_pairs is not None and not root_mapping_allowed(
-                        problem, node.pos, root_pairs
-                    ):
-                        # No frontier pair on an edge: this candidate
-                        # initial mapping cannot begin an optimal
-                        # schedule (see bounds.root_restriction_pairs);
-                        # keep only its free prefix children.
-                        root_restricted += 1
-                        score(batch)
-                        for child in batch:
-                            push(child)
-                        continue
-                children = kernel_expand(
-                    problem, node, config, counters=expand_counters
-                )
-                if any(
-                    child.started == total_gates and not child.inflight
-                    for child in children
-                ):
-                    score(batch)
-                    for child in batch:
-                        push(child)
-                    for child in children:
-                        generated += 1
-                        if state_filter.admit(child):
-                            score([child])
-                            push(child)
-                    continue
-                for child in children:
-                    generated += 1
-                    if state_filter.admit(child):
-                        batch.append(child)
-                score(batch)
-                for child in batch:
-                    push(child)
-                continue
-
+            # Fan-out step: free prefix children (mode 2), then the real
+            # schedule's children unless the root restriction skips them.
+            batch: List[SearchNode] = []
+            children: List[SearchNode] = []
+            restricted = False
             if node.in_prefix:
-                sym_before = expand_counters["symmetry_pruned"]
-                with tracer.span(SPAN_PREFIX, layers=node.prefix_layers):
-                    prefix_children = self._expand_prefix(
-                        problem, node, prefix_cap, seen_prefix_mappings,
-                        auts, canon_seen, expand_counters,
-                    )
+                symmetric_before = expand_counters["symmetry_pruned"]
+                batch = expand_prefix(
+                    problem, node, prefix_cap, seen_prefix_mappings,
+                    auts, canon_seen, expand_counters,
+                )
+                # No frontier pair on an edge: this candidate initial
+                # mapping cannot begin an optimal schedule (see
+                # bounds.root_restriction_pairs); keep only its free
+                # prefix children.
+                restricted = (
+                    root_pairs is not None
+                    and not root_mapping_allowed(problem, node.pos, root_pairs)
+                )
+                if restricted:
+                    root_restricted += 1
                 if trace is not None:
                     # Orbit-mates dropped while expanding this prefix node
                     # were never built; attribute them to the expander.
-                    sym_delta = (
-                        expand_counters["symmetry_pruned"] - sym_before
+                    symmetric = (
+                        expand_counters["symmetry_pruned"] - symmetric_before
                     )
-                    if sym_delta:
-                        trace.prune(
-                            PRUNE_SYMMETRY, node=node, count=sym_delta
-                        )
-                for child in prefix_children:
-                    generated += 1
-                    m_generated.inc()
-                    push(child)
-                if root_pairs is not None and not root_mapping_allowed(
-                    problem, node.pos, root_pairs
-                ):
-                    # Same restriction as the fast path: the candidate
-                    # mapping keeps its free prefix children but skips
-                    # the real-schedule expansion.
-                    root_restricted += 1
-                    if trace is not None:
+                    if symmetric:
+                        trace.prune(PRUNE_SYMMETRY, node=node, count=symmetric)
+                    if restricted:
                         trace.prune(PRUNE_ROOT_RESTRICTION, node=node)
-                    continue
-            with tracer.span(SPAN_EXPAND, t=node.time, f=f):
-                children = expand(
-                    problem, node, config, metrics=tele.metrics,
-                    counters=expand_counters, trace=trace,
+            if not restricted:
+                swaps_before = expand_counters["swaps_restricted"]
+                children = expand_children(
+                    problem, node, config, counters=expand_counters
                 )
-                for child in children:
-                    generated += 1
-                    m_generated.inc()
-                    with tracer.span(SPAN_FILTER):
-                        admitted = state_filter.admit(child)
-                    if admitted:
-                        push(child)
+                if trace is not None:
+                    # Likewise for candidate SWAPs the active-SWAP rule
+                    # discarded before any child was built.
+                    swaps = expand_counters["swaps_restricted"] - swaps_before
+                    if swaps:
+                        trace.prune(
+                            PRUNE_SWAP_RESTRICTION, node=node, count=swaps
+                        )
+            generated += len(batch) + len(children)
+            fan_out(batch, children)
 
         if not solutions:
             # The queue ran dry.  With a *local* incumbent that proves

@@ -15,12 +15,8 @@ break a currently-satisfiable frontier gate are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import (
-    PRUNE_SWAP_RESTRICTION as TRACE_PRUNE_SWAP_RESTRICTION,
-)
 from .problem import MappingProblem
 from .state import Action, K_GATE, K_SWAP, SearchNode
 
@@ -609,13 +605,60 @@ def apply_action_set(
     return child
 
 
+def redundancy_fallback(
+    problem: MappingProblem,
+    node: SearchNode,
+    config: ExpansionConfig,
+    gates: Sequence[Action],
+    swaps: Sequence[Action],
+) -> List[SearchNode]:
+    """Children of ``node`` generated without the redundancy rule.
+
+    For a node whose every action set was redundant against the parent's
+    startable record.  In the optimal search the parent's siblings cover
+    those schedules, but a bounded-queue (practical-mode) search may have
+    trimmed them away, so every nonempty action set over the startable
+    ``gates`` and ``swaps`` is started instead and the node is never a
+    dead end.  Shared by :func:`expand` and the compiled backend.
+    """
+    all_startable = frozenset(gates) | frozenset(swaps)
+    parent_eff = node.mapping_after_swaps()
+    startable_pairs = [
+        (a, _action_mask(problem, node, a))
+        for a in list(gates) + list(swaps)
+    ]
+    masks = dict(startable_pairs)
+    if config.greedy_gates:
+        fallback_sets = [
+            s for s in enumerate_action_sets(
+                problem, node, gates, swaps, config, masks=masks
+            )
+            if s
+        ]
+    else:
+        fallback_sets = [
+            s for s, _m in _enumerate_masked(
+                [(a, m, True) for a, m in startable_pairs],
+                config.max_swaps_per_step, frozenset(),
+                include_empty=False,
+            )
+        ]
+    children: List[SearchNode] = []
+    for action_set in fallback_sets:
+        child = apply_action_set(
+            problem, node, action_set, all_startable,
+            masks=masks, parent_eff=parent_eff,
+        )
+        if child is not None:
+            children.append(child)
+    return children
+
+
 def expand(
     problem: MappingProblem,
     node: SearchNode,
     config: ExpansionConfig = OPTIMAL_EXPANSION,
-    metrics: Optional[MetricsRegistry] = None,
     counters: Optional[Dict[str, int]] = None,
-    trace=None,
 ) -> List[SearchNode]:
     """All non-redundant children of ``node``.
 
@@ -623,34 +666,17 @@ def expand(
     :func:`startable_actions`), the cyclic-SWAP check, the empty-set rule
     (waiting is only allowed while something is in flight), and the
     could-have-started-earlier redundancy rule against the parent's
-    recorded startable set.
+    recorded startable set.  A node left without children by that rule
+    falls back to :func:`redundancy_fallback`.
 
     Args:
         problem: Problem instance.
         node: Node to expand.
         config: Expansion restrictions (optimal vs. practical mode).
-        metrics: When given, records per-expansion distributions
-            (``expand.startable_gates/startable_swaps/action_sets/
-            children``) and counts redundancy-fallback regenerations.
         counters: Optional mutable dict for cheap cross-expansion
-            counters (``swaps_restricted``) kept even on the
-            uninstrumented fast path.
-        trace: Optional :class:`~repro.obs.trace.TraceRecorder`; emits a
-            ``swap_restriction`` prune record attributed to ``node``
-            when the active-SWAP rule discarded candidate SWAPs here.
+            counters (``swaps_restricted``).
     """
-    if trace is not None and counters is not None:
-        restricted_before = counters.get("swaps_restricted", 0)
     gates, swaps = startable_actions(problem, node, config, counters)
-    if trace is not None and counters is not None:
-        restricted_delta = (
-            counters.get("swaps_restricted", 0) - restricted_before
-        )
-        if restricted_delta:
-            trace.prune(
-                TRACE_PRUNE_SWAP_RESTRICTION, node=node,
-                count=restricted_delta,
-            )
     all_startable = frozenset(gates) | frozenset(swaps)
     parent_eff = node.mapping_after_swaps()
     children: List[SearchNode] = []
@@ -666,7 +692,6 @@ def expand(
         action_sets = enumerate_action_sets(
             problem, node, gates, swaps, config, masks=masks
         )
-        num_sets = len(action_sets)
         for action_set in action_sets:
             if not action_set:
                 if not has_inflight:
@@ -689,7 +714,6 @@ def expand(
             rows, config.max_swaps_per_step, prev_startable,
             include_empty=has_inflight,
         )
-        num_sets = len(candidates)
         for action_set, touched in candidates:
             child = apply_action_set(
                 problem, node, action_set, all_startable,
@@ -700,34 +724,5 @@ def expand(
                 children.append(child)
 
     if not children and all_startable:
-        # Every action set was redundant against the parent's startable
-        # record.  In the optimal search the parent's siblings cover those
-        # schedules, but a bounded-queue (practical-mode) search may have
-        # trimmed them away — regenerate ignoring the redundancy rule so
-        # the node is never a dead end.
-        if metrics is not None:
-            metrics.counter("expand.redundancy_fallbacks").inc()
-        masks = dict(startable_pairs)
-        if config.greedy_gates:
-            fallback_sets = [s for s in action_sets if s]
-        else:
-            fallback_sets = [
-                s for s, _m in _enumerate_masked(
-                    [(a, m, True) for a, m in startable_pairs],
-                    config.max_swaps_per_step, frozenset(),
-                    include_empty=False,
-                )
-            ]
-        for action_set in fallback_sets:
-            child = apply_action_set(
-                problem, node, action_set, all_startable,
-                masks=masks, parent_eff=parent_eff,
-            )
-            if child is not None:
-                children.append(child)
-    if metrics is not None:
-        metrics.histogram("expand.startable_gates").observe(len(gates))
-        metrics.histogram("expand.startable_swaps").observe(len(swaps))
-        metrics.histogram("expand.action_sets").observe(num_sets)
-        metrics.histogram("expand.children").observe(len(children))
+        return redundancy_fallback(problem, node, config, gates, swaps)
     return children

@@ -272,6 +272,16 @@ class StateFilter:
         """Number of distinct effective states seen so far."""
         return len(self._table)
 
+    def admit_all(
+        self, nodes: List[SearchNode], admitted: List[SearchNode]
+    ) -> None:
+        """:meth:`admit` each of ``nodes`` in order; append the admitted
+        ones to ``admitted`` (one expansion's children)."""
+        admit = self.admit
+        for node in nodes:
+            if admit(node):
+                admitted.append(node)
+
     def kill_above_bound(self, bound: int) -> int:
         """Kill open stored nodes whose ``f`` strictly exceeds ``bound``.
 

@@ -181,7 +181,6 @@ def heuristic_cost(
     node: SearchNode,
     window: Optional[int] = None,
     swap_aware: bool = True,
-    metrics: Optional[MetricsRegistry] = None,
     memo: Optional[HeuristicMemo] = None,
 ) -> int:
     """Lower bound on cycles from ``node`` to any terminal node.
@@ -198,11 +197,6 @@ def heuristic_cost(
             bound degrades to the remaining critical path — the uninformed
             lower bound the OLSQ-style baseline (and OLSQ's iterative
             deepening start point) uses.  Still admissible, just weaker.
-        metrics: When given, counts calls and records the pending-gate
-            workload per evaluation (``heuristic.calls`` /
-            ``heuristic.pending_gates``); the caller times the evaluation
-            itself (``heuristic.latency_s``) since only it knows whether
-            telemetry is on.
         memo: Optional whole-evaluation cache (see :class:`HeuristicMemo`);
             must be dedicated to this ``(window, swap_aware)`` combination.
 
@@ -258,7 +252,7 @@ def heuristic_cost(
 
     if window is not None:
         h = _windowed_cost(
-            problem, ptr, window, swap_aware, metrics, head, load, h, pos_after
+            problem, ptr, window, swap_aware, head, load, h, pos_after
         )
         if memo is not None:
             memo.table[key] = h
@@ -269,12 +263,6 @@ def heuristic_cost(
     swap_len = problem.swap_len
     split_lut = problem.split_lut
     has_singles = problem.has_singles
-
-    if metrics is not None:
-        metrics.counter("heuristic.calls").inc()
-        metrics.histogram("heuristic.pending_gates").observe(
-            problem.num_pending_gates(ptr)
-        )
 
     # Pending two-qubit gate rows in program order, cached per ptr.  The
     # loop comes in specialized variants (singles folding and the
@@ -413,7 +401,6 @@ def _windowed_cost(
     ptr: Tuple[int, ...],
     window: int,
     swap_aware: bool,
-    metrics: Optional[MetricsRegistry],
     head: List[int],
     load: List[int],
     h: int,
@@ -446,16 +433,11 @@ def _windowed_cost(
     depth — but it is *not* the full-circuit heuristic, and two nodes may
     compare differently under truncation than they would under the exact
     bound.  The optimal search therefore never uses a window; the
-    practical mapper accepts the quality loss for scalability.  Cap
-    events are counted in the ``heuristic.window_truncated`` metric so a
-    run can tell how often its lookahead was clipped.
+    practical mapper accepts the quality loss for scalability.  Whether
+    the cap clipped a window is recorded in the plan
+    (``problem.window_plan(ptr, window).truncated``).
     """
-    rows, tails, pending, truncated = problem.window_plan(ptr, window)
-    if metrics is not None:
-        if truncated:
-            metrics.counter("heuristic.window_truncated").inc()
-        metrics.counter("heuristic.calls").inc()
-        metrics.histogram("heuristic.pending_gates").observe(pending)
+    rows, tails, _pending, _truncated = problem.window_plan(ptr, window)
 
     dist_flat = problem.dist_flat
     num_physical = problem.num_physical

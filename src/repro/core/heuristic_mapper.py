@@ -136,8 +136,9 @@ class HeuristicMapper:
         memoize: Cache heuristic evaluations per run (sound because the
             window is fixed for the whole run); pure evaluation cache,
             never changes scores or node counts.
-        telemetry: Optional observability context; ``None`` runs the
-            uninstrumented fast path.
+        telemetry: Optional observability context (spans, metrics,
+            progress events).  It observes the same search loop and
+            kernel calls as a run without it; ``None`` records nothing.
         kernel: Kernel backend name (``pure``/``compiled``) or
             ``None`` for the auto-probe; windowed evaluation always runs
             the pure scorer, but the seam and the recorded
@@ -303,6 +304,8 @@ class HeuristicMapper:
             metrics=tele.metrics if enabled else None,
         )
         counter = itertools.count()
+        window = self.window
+        greediness = self.greediness
 
         def priority(node: SearchNode) -> Tuple[int, int, int]:
             return (node.f, -node.started, next(counter))
@@ -311,27 +314,48 @@ class HeuristicMapper:
         if self.memoize:
             memo = HeuristicMemo(metrics=tele.metrics if enabled else None)
 
+        def score_batch(nodes: List[SearchNode]) -> None:
+            """Assign h and f for one expansion's children (kernel batch,
+            bit-identical to per-node evaluation incl. memo accounting)."""
+            kernel.heuristic_batch(problem, nodes, window=window, memo=memo)
+            for node in nodes:
+                node.f = node.time + int(greediness * node.h)
+
+        # Each batch step runs inside its span when spans are recorded;
+        # otherwise the bare functions are called.
+        expand_children = tracer.wrap(SPAN_EXPAND, expand)
+        score = tracer.wrap(SPAN_HEURISTIC, score_batch)
+        admit_children = tracer.wrap(SPAN_FILTER, state_filter.admit_all)
+
         if enabled:
             metrics = tele.metrics
-            m_expanded = metrics.counter("search.nodes_expanded")
-            m_generated = metrics.counter("search.nodes_generated")
-            m_trims = metrics.counter("search.queue_trims")
+            search_metrics = [
+                metrics.counter(name)
+                for name in (
+                    "search.nodes_expanded",
+                    "search.nodes_generated",
+                    "search.queue_trims",
+                )
+            ]
+            published = [0] * len(search_metrics)
             m_heap = metrics.gauge("search.heap_size")
             m_frontier = metrics.gauge("search.best_f")
-            m_heuristic_latency = metrics.histogram(
-                "heuristic.latency_s", scale=1e-6
-            )
             progress_every = tele.progress_every
 
-        root.h = heuristic_cost(problem, root, window=self.window, memo=memo)
-        root.f = root.time + int(self.greediness * root.h)
+        def publish_counters() -> None:
+            """Bring the ``search.*`` metrics up to the loop's integers."""
+            values = (expanded, generated, trims)
+            for metric, value, old in zip(search_metrics, values, published):
+                metric.inc(value - old)
+            published[:] = values
+
+        root.h = heuristic_cost(problem, root, window=window, memo=memo)
+        root.f = root.time + int(greediness * root.h)
         heap: List[Tuple[int, int, int, SearchNode]] = [
             (*priority(root), root)
         ]
         expanded = 0
         generated = 1
-        if enabled:
-            m_generated.inc(generated)
         trims = 0
         level_expansions: dict = {}
 
@@ -340,6 +364,8 @@ class HeuristicMapper:
             if node.killed:
                 continue
             if node.is_terminal(problem.num_gates):
+                if enabled:
+                    publish_counters()
                 extra = {STAT_KERNEL_BACKEND: kernel.name}
                 if memo is not None:
                     extra["memo_hits"] = memo.hits
@@ -369,24 +395,8 @@ class HeuristicMapper:
             level_expansions[level] = used + 1
             expanded += 1
             node.dropped = True  # leaves the open list
-
-            if not enabled:
-                # Fast path: identical to the instrumented branch below
-                # minus every span/metric touch.  Children are scored as
-                # one batch through the kernel seam (bit-identical to
-                # per-node evaluation, including memo accounting).
-                children = expand(problem, node, self.config)
-                scored: List[SearchNode] = []
-                for child in children:
-                    self._place_frontier(problem, child)
-                    scored.append(child)
-                kernel.heuristic_batch(
-                    problem, scored, window=self.window, memo=memo
-                )
-                for child in scored:
-                    child.f = child.time + int(self.greediness * child.h)
-            else:
-                m_expanded.inc()
+            if enabled:
+                publish_counters()
                 if expanded % progress_every == 0:
                     m_heap.set(len(heap))
                     m_frontier.set(node.f)
@@ -405,49 +415,24 @@ class HeuristicMapper:
                             },
                         )
                     )
-                with tracer.span(SPAN_EXPAND, t=node.time, f=node.f):
-                    children = expand(
-                        problem, node, self.config, metrics=metrics
-                    )
-                    m_generated.inc(len(children))
-                    scored = []
-                    for child in children:
-                        self._place_frontier(problem, child)
-                        with tracer.span(SPAN_HEURISTIC):
-                            t0 = _time.perf_counter()
-                            child.h = heuristic_cost(
-                                problem,
-                                child,
-                                window=self.window,
-                                metrics=metrics,
-                                memo=memo,
-                            )
-                            m_heuristic_latency.observe(
-                                _time.perf_counter() - t0
-                            )
-                        child.f = child.time + int(self.greediness * child.h)
-                        scored.append(child)
 
-            generated += len(scored)
-            scored.sort(key=lambda c: (c.f, -c.started))
-            kept = scored[: self.top_k]
-            if not enabled:
-                for child in kept:
-                    if state_filter.admit(child):
-                        heapq.heappush(heap, (*priority(child), child))
-            else:
-                for child in kept:
-                    with tracer.span(SPAN_FILTER):
-                        admitted = state_filter.admit(child)
-                    if admitted:
-                        heapq.heappush(heap, (*priority(child), child))
+            children = expand_children(problem, node, self.config)
+            for child in children:
+                self._place_frontier(problem, child)
+            score(children)
+            generated += len(children)
+            children.sort(key=lambda c: (c.f, -c.started))
+            admitted: List[SearchNode] = []
+            admit_children(children[: self.top_k], admitted)
+            for child in admitted:
+                heapq.heappush(heap, (*priority(child), child))
             if len(heap) > self.queue_cap:
                 heap = self._trim(heap)
                 state_filter.compact()
                 trims += 1
-                if enabled:
-                    m_trims.inc()
 
+        if enabled:
+            publish_counters()
         raise RoutingFailed(
             "priority queue emptied before the circuit completed"
         )
@@ -473,9 +458,7 @@ class HeuristicMapper:
         num_logical = problem.num_logical
         num_physical = problem.num_physical
         if initial_mapping is not None:
-            pos = tuple(initial_mapping)
-            if len(pos) != num_logical or len(set(pos)) != num_logical:
-                raise ValueError("initial mapping must be injective over logicals")
+            pos = problem.check_initial_mapping(initial_mapping)
         else:
             pos = (-1,) * num_logical
         inv = [-1] * num_physical

@@ -20,9 +20,11 @@ Contract (every backend, bit-for-bit):
   backends currently delegate to :mod:`heapq`, whose C implementation
   is already optimal for the tuple keys the search uses).
 
-Instrumented evaluations (``metrics`` given) always take the per-node
-pure path so telemetry counters, spans, and histograms keep their
-per-evaluation semantics regardless of backend.
+Telemetry observes these calls from the outside (spans around each
+batch call, memo hit/miss counters on the :class:`HeuristicMemo`), so an
+instrumented search makes the same expand, heuristic and heap calls as
+an uninstrumented one.  Only the state filter still swaps the fused
+``admit_scan`` for its python scan when metrics or a trace are attached.
 
 The pure profile/dominance implementations live here (not in
 ``filters``) because ``filters`` imports this package; keeping the
@@ -179,7 +181,6 @@ class KernelBackend:
         nodes: List[SearchNode],
         window: Optional[int] = None,
         swap_aware: bool = True,
-        metrics=None,
         memo: Optional[HeuristicMemo] = None,
     ) -> None:
         """Assign ``node.h`` for every node in ``nodes``.
@@ -189,13 +190,6 @@ class KernelBackend:
         within the batch count first-as-miss, rest-as-hits).
         """
         if not nodes:
-            return
-        if metrics is not None:
-            # Instrumented runs keep per-evaluation counter semantics.
-            for node in nodes:
-                node.h = heuristic_cost(
-                    problem, node, window, swap_aware, metrics, memo
-                )
             return
         if memo is None:
             values = self._eval_nodes(problem, nodes, window, swap_aware)

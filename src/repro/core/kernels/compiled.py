@@ -18,12 +18,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional
 
-from ..expander import (
-    _action_mask,
-    _enumerate_masked,
-    apply_action_set,
-    startable_actions,
-)
+from ..expander import redundancy_fallback, startable_actions
 from ..problem import PROBLEM_CACHE_CAP, MappingProblem
 from ..state import SearchNode
 from .api import KernelBackend
@@ -145,33 +140,13 @@ class CompiledBackend(KernelBackend):
                 counters.get("swaps_restricted", 0) + restricted
             )
         if not children and has_startable:
-            # Redundancy fallback (see expander.expand): regenerate with
-            # every action treated as fresh so the node is not a dead
-            # end.  Rare — only bounded-queue searches reach it — so the
-            # python path is fine.  ``counters=None``: the C call above
-            # already accounted the restricted SWAPs.
+            # Every action set was redundant: regenerate without the rule
+            # (see expander.redundancy_fallback).  Rare — only
+            # bounded-queue searches reach it — so the python path is
+            # fine.  ``counters=None``: the C call above already
+            # accounted the restricted SWAPs.
             gates, swaps = startable_actions(problem, node, config, None)
-            all_startable = frozenset(gates) | frozenset(swaps)
-            parent_eff = node.mapping_after_swaps()
-            startable_pairs = [
-                (a, _action_mask(problem, node, a))
-                for a in list(gates) + list(swaps)
-            ]
-            masks = dict(startable_pairs)
-            fallback_sets = [
-                s for s, _m in _enumerate_masked(
-                    [(a, m, True) for a, m in startable_pairs],
-                    config.max_swaps_per_step, frozenset(),
-                    include_empty=False,
-                )
-            ]
-            for action_set in fallback_sets:
-                child = apply_action_set(
-                    problem, node, action_set, all_startable,
-                    masks=masks, parent_eff=parent_eff,
-                )
-                if child is not None:
-                    children.append(child)
+            children = redundancy_fallback(problem, node, config, gates, swaps)
         return children
 
     def profile(self, problem: MappingProblem, node: SearchNode):

@@ -8,7 +8,7 @@ the architecture's distance matrix.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..arch.coupling import CouplingGraph
 from ..circuit.circuit import Circuit
@@ -89,10 +89,6 @@ class MappingProblem:
             enumerated explicitly, any chain segment between consecutive
             pending two-qubit gates is all singles, and its latency is one
             subtraction of prefix sums.
-        pending_total: ``pending_total[l][p]`` — number of gates owned by
-            ``l`` (counting single-qubit gates, which are owned by their
-            only operand) at chain positions ``>= p``; summing over ``l``
-            counts the distinct pending gates without materializing them.
     """
 
     def __init__(
@@ -208,14 +204,11 @@ class MappingProblem:
         self.own2: List[Tuple[int, ...]] = []
         self.own2_start: List[Tuple[int, ...]] = []
         self.single_prefix: List[Tuple[int, ...]] = []
-        self.pending_total: List[Tuple[int, ...]] = []
         owned2_pos: List[List[Tuple[int, int]]] = [
             [] for _ in range(self.num_logical)
         ]
-        owned_any: List[List[int]] = [[] for _ in range(self.num_logical)]
         for index, qubits in enumerate(self.gate_qubits):
             owner = qubits[0]
-            owned_any[owner].append(self.gate_pos[index][owner])
             if len(qubits) > 1:
                 owned2_pos[owner].append((self.gate_pos[index][owner], index))
         for logical in range(self.num_logical):
@@ -237,14 +230,6 @@ class MappingProblem:
                     lat if len(self.gate_qubits[gate]) == 1 else 0
                 )
             self.single_prefix.append(tuple(prefix))
-            owned_positions = owned_any[logical]
-            total = [0] * (chain_len + 1)
-            cursor = 0
-            for p in range(chain_len + 1):
-                while cursor < len(owned_positions) and owned_positions[cursor] < p:
-                    cursor += 1
-                total[p] = len(owned_positions) - cursor
-            self.pending_total.append(tuple(total))
 
     def pending_two_qubit_gates(self, ptr: Tuple[int, ...]) -> List[int]:
         """Pending (unstarted) two-qubit gate indices, in program order.
@@ -409,13 +394,29 @@ class MappingProblem:
         """Total entries refused across all capped per-problem caches."""
         return sum(self.cache_overflows.values())
 
-    def num_pending_gates(self, ptr: Tuple[int, ...]) -> int:
-        """Distinct pending gates under ``ptr`` (singles included), O(L)."""
-        pending_total = self.pending_total
-        return sum(
-            pending_total[logical][ptr[logical]]
-            for logical in range(self.num_logical)
-        )
+    def check_initial_mapping(self, mapping: Sequence[int]) -> Tuple[int, ...]:
+        """``mapping`` as a position tuple, once it is a valid placement.
+
+        ``mapping[l]`` is the physical home of logical ``l``.  Raises
+        ``ValueError`` unless there is one entry per logical qubit, every
+        entry lies in ``range(num_physical)``, and no physical qubit is
+        used twice.
+        """
+        pos = tuple(mapping)
+        if len(pos) != self.num_logical:
+            raise ValueError(
+                f"initial mapping has {len(pos)} entries for "
+                f"{self.num_logical} logical qubits"
+            )
+        for logical, physical in enumerate(pos):
+            if not 0 <= physical < self.num_physical:
+                raise ValueError(
+                    f"initial mapping places logical {logical} on {physical}, "
+                    f"outside physical qubits 0..{self.num_physical - 1}"
+                )
+        if len(set(pos)) != len(pos):
+            raise ValueError("initial mapping must be injective over logicals")
+        return pos
 
     def ideal_depth(self) -> int:
         """Depth on an all-to-all architecture (cost lower bound)."""

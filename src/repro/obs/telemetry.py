@@ -29,8 +29,8 @@ Flight recorder: ``sample_resources=True`` runs a background
 attributing wall-clock samples to the open span stack and the kernel
 backend.  Both observe *from outside* the search thread, so they
 compose with ``hot_path=False`` — a telemetry whose ``enabled`` flag is
-off keeps the mapper on the uninstrumented fast path while the recorder
-still captures the run (the configuration the overhead gate in
+off records no spans, counters or progress from the mapper while the
+recorder still captures the run (the configuration the overhead gate in
 ``tests/test_runtime_obs.py`` certifies at <5%).
 """
 
@@ -73,10 +73,11 @@ class Telemetry:
         profile_interval: Seconds between profile stack samples.
         profile_collapsed: Path for the folded-stack flamegraph file
             written when the profiler stops.
-        hot_path: Sets ``enabled`` — whether mappers run their
-            *instrumented* search branch (spans/metrics/progress).  Keep
-            the default for span-level telemetry; pass ``False`` to fly
-            the flight recorder over the uninstrumented fast path.
+        hot_path: Sets ``enabled`` — whether mappers record spans,
+            ``search.*`` metrics, progress events and the search trace
+            (the search loop itself is the same either way).  Keep the
+            default for span-level telemetry; pass ``False`` to fly the
+            flight recorder alone.
         run_id: Correlation ID stamped onto every progress event and
             metrics snapshot this handle emits.  Set by the CLI from the
             run-ledger entry (:mod:`repro.obs.ledger`) so fleet shards,
@@ -272,8 +273,8 @@ class TelemetrySpec:
     shards into a fleet rollup afterwards
     (:func:`repro.obs.export.fleet_rollup`).
 
-    Worker telemetry flies the flight recorder over the uninstrumented
-    search fast path (``hot_path=False``): resource sampling and
+    Worker telemetry flies the flight recorder alone
+    (``hot_path=False``): resource sampling and
     per-task ``worker_task`` records cost nothing per node expanded, so
     fleet throughput is unchanged.
     """

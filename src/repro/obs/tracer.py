@@ -9,8 +9,9 @@ for the human-readable tree renderer.
 
 Overhead discipline: callers that run with tracing disabled must never
 construct span objects.  :data:`NULL_TRACER` exposes the same API with a
-shared no-op span, and its ``enabled`` flag lets hot loops skip the
-instrumented branch entirely — the disabled cost is one attribute read.
+shared no-op span, and its :meth:`~Tracer.wrap` hands functions back
+unwrapped, so a search loop that wraps its steps once pays nothing per
+call when no spans are recorded.
 """
 
 from __future__ import annotations
@@ -160,6 +161,20 @@ class Tracer:
         self._stack.append(span)
         return span
 
+    def wrap(self, name: str, fn):
+        """``fn`` recorded as one ``name`` span per call.
+
+        Search loops wrap their batch steps once, before the loop, so a
+        loop without a recording tracer calls the bare functions.
+        """
+        span = self.span
+
+        def spanned(*args, **kwargs):
+            with span(name):
+                return fn(*args, **kwargs)
+
+        return spanned
+
     def _finish(self, span: Span) -> None:
         # Spans close LIFO under context-manager discipline; tolerate an
         # exception unwinding several at once by popping to the span.
@@ -222,6 +237,9 @@ class _NullTracer:
 
     def span(self, _name: str, **_attrs) -> _NullSpan:
         return NULL_SPAN
+
+    def wrap(self, _name: str, fn):
+        return fn
 
     def render_tree(self, max_children: int = 20) -> str:
         return ""

@@ -194,7 +194,7 @@ class TestOptimizedMatchesReference:
         checked = [0]
 
         def checking(problem, node, window=None, swap_aware=True,
-                     metrics=None, memo=None):
+                     memo=None):
             got = heuristic_cost(
                 problem, node, window=window, swap_aware=swap_aware
             )
@@ -312,7 +312,7 @@ class TestOptimizedMatchesReference:
         seen = set()
 
         def checking(problem, node, window=None, swap_aware=True,
-                     metrics=None, memo=None):
+                     memo=None):
             got = heuristic_cost(
                 problem, node, window=window, swap_aware=swap_aware
             )
@@ -414,7 +414,7 @@ class TestAblationPinsAgainstReference:
 
         if use_reference:
             def reference_only(problem, node, window=None, swap_aware=True,
-                               metrics=None, memo=None):
+                               memo=None):
                 return _heuristic_cost_reference(
                     problem, node, window=window, swap_aware=swap_aware
                 )
@@ -459,44 +459,40 @@ class TestAblationPinsAgainstReference:
 
 class TestWindowTruncationMetric:
     def test_truncation_counted_and_deterministic(self):
-        from repro.obs import MetricsRegistry
-
         # Five disjoint pending gates, window=1: the cap is 4*window=4,
-        # so one truncation event must be counted and the kept prefix is
-        # the program-order head (deterministic, not set-order).
+        # so the plan records one truncation and the kept prefix is the
+        # program-order head (deterministic, not set-order).
         circuit = Circuit(10)
         for a in range(0, 10, 2):
             circuit.cx(a, a + 1)
         problem = MappingProblem(
             circuit, lnn(10), uniform_latency(1, 3)
         )
-        metrics = MetricsRegistry()
         node = make_node(problem)
-        h = heuristic_cost(problem, node, window=1, metrics=metrics)
-        assert metrics.counter("heuristic.window_truncated").value == 1
+        h = heuristic_cost(problem, node, window=1)
+        plan = problem.window_plan(node.ptr, 1)
+        assert plan[3]
+        assert [row[:2] for row in plan.rows] == [
+            (0, 1), (2, 3), (4, 5), (6, 7)
+        ]
         # Still a valid lower bound relative to the untruncated value.
         assert 0 < h <= heuristic_cost(problem, node)
 
-    def test_counters_count_evaluations_not_plans(self):
-        from repro.obs import MetricsRegistry
-
-        # The second evaluation reuses the cached window plan; the
-        # instrumented counters still count once per evaluation.
+    def test_repeat_evaluation_reuses_one_plan(self):
+        # The second evaluation reuses the cached window plan and returns
+        # the same value.
         circuit = Circuit(10)
         for a in range(0, 10, 2):
             circuit.cx(a, a + 1)
         problem = MappingProblem(circuit, lnn(10), uniform_latency(1, 3))
-        metrics = MetricsRegistry()
         node = make_node(problem)
-        first = heuristic_cost(problem, node, window=1, metrics=metrics)
-        second = heuristic_cost(problem, node, window=1, metrics=metrics)
+        first = heuristic_cost(problem, node, window=1)
+        second = heuristic_cost(problem, node, window=1)
         assert first == second
         assert len(problem._window_plans) == 1
-        assert metrics.counter("heuristic.window_truncated").value == 2
-        assert metrics.counter("heuristic.calls").value == 2
-        pending = metrics.histogram("heuristic.pending_gates")
-        assert pending.count == 2
-        assert pending.total == 2 * 4
+        plan = problem.window_plan(node.ptr, 1)
+        assert plan[3]
+        assert plan.pending == 4
 
 
 class TestWindowPlan:

@@ -4,8 +4,8 @@ import pytest
 
 from repro.arch import CouplingGraph, grid, ibm_qx2, lnn
 from repro.circuit import Circuit, uniform_latency
-from repro.circuit.generators import ghz_circuit, random_circuit
-from repro.core import OptimalMapper, SearchBudgetExceeded
+from repro.circuit.generators import ghz_circuit, qft_skeleton, random_circuit
+from repro.core import HeuristicMapper, OptimalMapper, SearchBudgetExceeded
 from repro.verify import validate_result
 
 
@@ -93,3 +93,29 @@ class TestPrefixCap:
         validate_result(result)
         assert result.num_inserted_swaps == 0
         assert result.depth == circuit.depth(latency)
+
+
+class TestExplicitMappingValidation:
+    """Both mappers reject a mode-1 mapping that is not a placement."""
+
+    @pytest.mark.parametrize("mapper_type", [OptimalMapper, HeuristicMapper])
+    @pytest.mark.parametrize("mapping", [[0, 1, -1], [0, 1, 7]])
+    def test_out_of_range_entry_rejected(self, mapper_type, mapping):
+        mapper = mapper_type(lnn(4), uniform_latency(1, 3))
+        with pytest.raises(ValueError, match="outside physical qubits 0..3"):
+            mapper.map(qft_skeleton(3), initial_mapping=mapping)
+
+    @pytest.mark.parametrize("mapper_type", [OptimalMapper, HeuristicMapper])
+    @pytest.mark.parametrize("mapping", [[0, 1, 1], [0, 1]])
+    def test_duplicate_or_short_mapping_rejected(self, mapper_type, mapping):
+        mapper = mapper_type(lnn(4), uniform_latency(1, 3))
+        with pytest.raises(ValueError, match="initial mapping"):
+            mapper.map(qft_skeleton(3), initial_mapping=mapping)
+
+    @pytest.mark.parametrize("mapper_type", [OptimalMapper, HeuristicMapper])
+    def test_valid_mapping_is_kept(self, mapper_type):
+        result = mapper_type(lnn(4), uniform_latency(1, 3)).map(
+            qft_skeleton(3), initial_mapping=[3, 2, 1]
+        )
+        validate_result(result)
+        assert result.initial_mapping == (3, 2, 1)

@@ -5,8 +5,7 @@ behaviour — same schedules, same node counts, same prune counters —
 differing only in speed.  These tests pin that contract with hypothesis
 over random circuits, for every backend that constructs on this
 interpreter (the CI matrix runs the suite with and without the C
-extension built), and hold the instrumented search loop (telemetry on)
-to the same contract.
+extension built), with telemetry off and on.
 """
 
 import hypothesis.strategies as st
@@ -15,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.arch import grid, lnn
 from repro.circuit import Circuit, uniform_latency
+from repro.circuit.generators import qft_skeleton
 from repro.core import HeuristicMapper, OptimalMapper
 from repro.core.heuristic import HeuristicMemo, heuristic_cost
 from repro.core.kernels import (
@@ -57,19 +57,19 @@ def _parity_signature(result):
 
 
 def _signatures(make_mapper, circuit):
-    """Parity signature per backend, plus the instrumented search loop.
+    """Parity signature per backend, with telemetry off and on.
 
-    With telemetry on, a mapper runs its instrumented loop, which
-    expands and scores node by node in python whatever the backend: a
-    second implementation of the same search, held to the same tree.
+    Telemetry observes the one search loop and must not steer it: the
+    instrumented run of every backend is held to the same tree.
     """
-    signatures = {
-        name: _parity_signature(make_mapper(kernel=name).map(circuit))
-        for name in BACKENDS
-    }
-    signatures["instrumented"] = _parity_signature(
-        make_mapper(kernel="pure", telemetry=Telemetry()).map(circuit)
-    )
+    signatures = {}
+    for name in BACKENDS:
+        signatures[name] = _parity_signature(
+            make_mapper(kernel=name).map(circuit)
+        )
+        signatures[f"{name}+telemetry"] = _parity_signature(
+            make_mapper(kernel=name, telemetry=Telemetry()).map(circuit)
+        )
     return signatures
 
 
@@ -294,6 +294,48 @@ class TestHeuristicBatch:
 # ---------------------------------------------------------------------------
 # Stats surface
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestTelemetryRidesTheKernel:
+    """An instrumented search calls the kernel steps a bare one calls."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, backend_name, attrs):
+        backend = resolve_backend(backend_name)
+        calls = dict.fromkeys(attrs, 0)
+        for attr in attrs:
+            original = getattr(backend, attr)
+
+            def counting(*args, _attr=attr, _original=original, **kwargs):
+                calls[_attr] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(backend, attr, counting)
+        return calls
+
+    def test_optimal_mapper(self, backend_name, monkeypatch):
+        calls = self._count_calls(
+            monkeypatch, backend_name, ("expand", "heuristic_batch")
+        )
+        result = OptimalMapper(
+            lnn(4), uniform_latency(1, 3), search_initial_mapping=True,
+            kernel=backend_name, telemetry=Telemetry(trace=True),
+        ).map(qft_skeleton(4))
+        assert calls["expand"] > 0
+        assert calls["heuristic_batch"] > 0
+        assert result.stats[STAT_KERNEL_BACKEND] == backend_name
+
+    def test_heuristic_mapper(self, backend_name, monkeypatch):
+        calls = self._count_calls(
+            monkeypatch, backend_name, ("heuristic_batch",)
+        )
+        result = HeuristicMapper(
+            lnn(4), uniform_latency(1, 3), kernel=backend_name,
+            telemetry=Telemetry(trace=True),
+        ).map(qft_skeleton(4))
+        assert calls["heuristic_batch"] > 0
+        assert result.stats[STAT_KERNEL_BACKEND] == backend_name
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

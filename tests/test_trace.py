@@ -13,6 +13,8 @@ Two layers of guarantee:
   ``phase="done"`` progress event with aggregated stats.
 """
 
+import itertools
+
 import pytest
 
 from repro.analysis.diagnose import RECONCILED_STATS, diagnose
@@ -20,6 +22,7 @@ from repro.arch import grid, lnn
 from repro.circuit import Circuit, uniform_latency
 from repro.circuit.generators import qft_skeleton
 from repro.core import OptimalMapper, SearchBudgetExceeded
+from repro.core.kernels import available_backends
 from repro.obs import MemorySink, Telemetry, TraceRecorder, TraceSpec
 from repro.obs.trace import (
     EV_EXPAND,
@@ -167,25 +170,29 @@ class TestTraceRecorder:
 
 
 def _traced_mode2(workers=None, max_nodes=None, seed_incumbent=True,
-                  num_qubits=4):
+                  num_qubits=4, kernel=None):
     """Map QFT-n on LNN-n in mode 2 with a full in-memory trace."""
     recorder = TraceRecorder()
     telemetry = Telemetry(search_trace=recorder)
     mapper = OptimalMapper(
         lnn(num_qubits), uniform_latency(1, 3), search_initial_mapping=True,
         mode2_workers=workers, max_nodes=max_nodes,
-        seed_incumbent=seed_incumbent, telemetry=telemetry,
+        seed_incumbent=seed_incumbent, telemetry=telemetry, kernel=kernel,
     )
     return mapper, telemetry, recorder
 
 
 class TestTraceReconciliation:
     def test_full_trace_reproduces_mode2_counters(self):
-        for num_qubits in (4, 5):
+        # Traces ride the kernel path, so every backend must reconcile.
+        for kernel, num_qubits in itertools.product(
+            available_backends(), (4, 5)
+        ):
             mapper, telemetry, recorder = _traced_mode2(
-                num_qubits=num_qubits
+                num_qubits=num_qubits, kernel=kernel
             )
             result = mapper.map(qft_skeleton(num_qubits))
+            assert result.stats["kernel_backend"] == kernel
             telemetry.finish()
             report = diagnose(recorder.drain())
             assert report["complete"]
