@@ -1,58 +1,49 @@
-"""Search-performance trajectory harness: emits ``BENCH_search.json``.
+"""Search-performance harness: one run-ledger row per suite.
 
 Unlike the figure/table benches (which reproduce *paper* numbers), this
 script tracks *our own* mapper throughput over time so performance work
-has a recorded baseline to be held against.  It runs a small suite of
-exact and heuristic searches, computes nodes/sec, wall time and the
-heuristic-memo hit rate per suite, and writes everything — including the
-pre-recorded baseline and the speedup against it — to one JSON file.
+has a recorded history to be held against.  It runs a small suite of
+exact and heuristic searches and prints nodes/sec, wall time and the
+heuristic-memo hit rate per suite.
 
 Run it directly (no pytest)::
 
     PYTHONPATH=src python benchmarks/bench_search_perf.py
     PYTHONPATH=src python benchmarks/bench_search_perf.py --tiny \
-        --out /tmp/BENCH_search.json
+        --ledger-dir runs/
 
-``--tiny`` shrinks every suite for CI smoke runs; ``--check-speedup``
-exits non-zero when the QFT-8/LNN microbench regresses below the given
-multiple of the recorded baseline (off by default — CI uploads the JSON
-but never gates on wall-clock, which is too noisy on shared runners).
+``--tiny`` shrinks every suite for CI smoke runs.  With a ledger
+(``--ledger-dir`` or ``$REPRO_LEDGER_DIR``) every suite is recorded as
+one ``bench`` row whose config is ``{suite, mode, pruning, kernel}``
+(``kernel`` is the resolved backend) and whose stats are the suite's
+flat numbers (``nodes_expanded``, ``seconds``, ``depth``, ``swaps``,
+...).  ``repro runs regressions`` gates those rows like any other run —
+node counts are deterministic per configuration, so any growth is a
+change of search — and ``repro runs list --kind bench --json`` exports
+the history.  ``benchmarks/results/BENCH_search.json`` is the frozen
+archive of the history recorded before the ledger existed.
 
-How to read the output: ``suites.<name>.nodes_per_sec`` is the
-throughput headline (median over iterations); ``memo_hit_rate`` is
-``hits / (hits + misses)`` of the whole-evaluation heuristic cache; and
-``speedup_vs_baseline`` divides the current microbench throughput by
-``baseline.qft8_lnn_exact_nodes_per_sec``, which was measured on the
-commit named in ``baseline.commit`` with this same script's
-methodology.
-
-The report is *append-only over time*: every run adds one entry to the
-``trajectory`` list (``{commit, date, mode, pruning, suites}``) while
-the top-level fields always describe the latest run.  ``--no-prune``
-runs the exact-solve suites with the switchable search-space
-reductions disabled (incumbent bound, active-SWAP restriction, symmetry
-quotient; closed dominance and root restriction always run) — the
-"before" point the pruned default is compared against; ``repro
-bench-trend`` tabulates the whole trajectory.
+``--no-prune`` runs the exact-solve suites with the switchable
+search-space reductions disabled (incumbent bound, active-SWAP
+restriction, symmetry quotient; closed dominance and root restriction
+always run) — the "before" point the pruned default is compared
+against.
 
 The ``*_solve`` suites measure mode 2 end-to-end (initial-mapping
 search + routing, the paper's Table-2 configuration); the budgeted
 microbench keeps the reduction-free mode-1 configuration so its
-nodes/sec stays comparable with the recorded pre-overhaul baseline.
+nodes/sec measures the raw expansion loop.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
-import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import time
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.analysis.batch import BatchTask, map_many
 from repro.arch import grid, ibm_tokyo, lnn
@@ -61,16 +52,6 @@ from repro.circuit import IBM_LATENCY, uniform_latency
 from repro.circuit.generators import qft_skeleton, random_circuit
 from repro.core import HeuristicMapper, OptimalMapper, SearchBudgetExceeded
 from repro.core.kernels import BACKEND_NAMES, resolve_backend
-
-#: Throughput of the QFT-8/LNN exact microbench measured immediately
-#: before the hot-path overhaul landed, with this script's methodology
-#: (median of 3 runs, 20k-node budget, uniform(1,3) latency).  The
-#: trajectory point every later run is compared against.
-BASELINE = {
-    "commit": "b9dead3",
-    "label": "pre-overhaul",
-    "qft8_lnn_exact_nodes_per_sec": 3882.1,
-}
 
 MICRO_SUITE = "qft8_lnn_exact"
 
@@ -89,9 +70,8 @@ def _run_exact_budgeted(num_qubits: int, max_nodes: int,
     circuit = qft_skeleton(num_qubits)
     samples = []
     for _ in range(iterations):
-        # Reduction-free configuration: the recorded baseline predates
-        # the branch-and-bound layer, so the throughput microbench keeps
-        # measuring the raw expansion loop.
+        # Reduction-free configuration: the throughput microbench
+        # measures the raw expansion loop, not the pruning layer.
         mapper = OptimalMapper(
             lnn(num_qubits), uniform_latency(1, 3), max_nodes=max_nodes,
             prune_swaps=False, seed_incumbent=False, reduce_symmetry=False,
@@ -167,8 +147,8 @@ def _run_portfolio_solve(num_qubits: int, arch, iterations: int,
     bounded by the portfolio's held seed and by side-lane depths instead
     of its own seed.  Both counts are deterministic — the held seed is
     offered before the exact lane starts and the side lanes never beat
-    it on these instances — so ``bench-trend --check`` gates on the node
-    count as tightly as on the other solve suites.
+    it on these instances — so ``repro runs regressions`` gates on the
+    node count as tightly as on the other solve suites.
     """
     from repro.analysis.portfolio import PortfolioMapper
 
@@ -294,105 +274,68 @@ def _run_batch(num_circuits: int, workers: int,
     }
 
 
-def run_suites(tiny: bool, pruned: bool = True,
-               kernel: Optional[str] = None) -> Dict[str, Dict]:
+def suite_plan(tiny: bool, pruned: bool = True,
+               kernel: Optional[str] = None) -> Dict[str, Callable[[], Dict]]:
+    """Suite name -> zero-argument runner, in run order."""
     if tiny:
         return {
-            MICRO_SUITE: _run_exact_budgeted(
+            MICRO_SUITE: lambda: _run_exact_budgeted(
                 6, max_nodes=2000, iterations=1, kernel=kernel
             ),
-            "qft4_lnn_solve": _run_exact_solve(
+            "qft4_lnn_solve": lambda: _run_exact_solve(
                 4, lnn(4), iterations=3, pruned=pruned, kernel=kernel
             ),
-            "portfolio_qft_lnn": _run_portfolio_solve(
+            "portfolio_qft_lnn": lambda: _run_portfolio_solve(
                 4, lnn(4), iterations=1, kernel=kernel
             ),
-            "heuristic_qft6_lnn": _run_heuristic(
+            "heuristic_qft6_lnn": lambda: _run_heuristic(
                 6, iterations=2, kernel=kernel
             ),
-            "heuristic_z4_268": _run_heuristic_z4_268(40, kernel=kernel),
-            "batch_random5": _run_batch(
+            "heuristic_z4_268": lambda: _run_heuristic_z4_268(
+                40, kernel=kernel
+            ),
+            "batch_random5": lambda: _run_batch(
                 num_circuits=2, workers=1, kernel=kernel
             ),
         }
     return {
-        MICRO_SUITE: _run_exact_budgeted(
+        MICRO_SUITE: lambda: _run_exact_budgeted(
             8, max_nodes=20000, iterations=3, kernel=kernel
         ),
-        "qft5_lnn_solve": _run_exact_solve(
+        "qft5_lnn_solve": lambda: _run_exact_solve(
             5, lnn(5), iterations=3, pruned=pruned, kernel=kernel
         ),
-        "qft6_2xn_solve": _run_exact_solve(
+        "qft6_2xn_solve": lambda: _run_exact_solve(
             6, grid(2, 3), iterations=3, pruned=pruned, kernel=kernel
         ),
-        "portfolio_qft_lnn": _run_portfolio_solve(
+        "portfolio_qft_lnn": lambda: _run_portfolio_solve(
             5, lnn(5), iterations=3, kernel=kernel
         ),
-        "heuristic_qft8_lnn": _run_heuristic(8, iterations=3, kernel=kernel),
-        "heuristic_z4_268": _run_heuristic_z4_268(300, kernel=kernel),
-        "batch_random5": _run_batch(num_circuits=4, workers=1, kernel=kernel),
-    }
-
-
-def _current_commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip() or "unknown"
-    except Exception:
-        return "unknown"
-
-
-def _trajectory_entry(
-    report: Dict,
-    run_id: Optional[str] = None,
-    ledger_path: Optional[str] = None,
-) -> Dict:
-    """Compact per-run record appended to the ``trajectory`` list.
-
-    ``run_id`` / ``git_sha`` / ``ledger_path`` make each bench-trend row
-    traceable to full artifacts: the short ``commit`` stays for display,
-    the full SHA pins the exact tree, and the run's ledger entry (host
-    info, config fingerprint, artifacts) lives under ``run_id`` in
-    ``<ledger_path>/index.jsonl``.  ``ledger_path`` is ``None`` when no
-    ledger was configured.
-    """
-    from repro.obs.ledger import git_sha
-
-    return {
-        "commit": _current_commit(),
-        "git_sha": git_sha(),
-        "run_id": run_id,
-        "ledger_path": ledger_path,
-        "date": datetime.datetime.now(datetime.timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
+        "heuristic_qft8_lnn": lambda: _run_heuristic(
+            8, iterations=3, kernel=kernel
         ),
-        "mode": report["mode"],
-        "pruning": report["pruning"],
-        "kernel_backend": report["kernel_backend"],
-        "python_version": report["python_version"],
-        "cpu_count": report["cpu_count"],
-        "suites": {
-            name: {
-                key: suite[key]
-                for key in ("kind", "depth", "nodes_expanded",
-                            "nodes_per_sec", "wall_seconds")
-                if key in suite
-            }
-            for name, suite in report["suites"].items()
-        },
+        "heuristic_z4_268": lambda: _run_heuristic_z4_268(
+            300, kernel=kernel
+        ),
+        "batch_random5": lambda: _run_batch(
+            num_circuits=4, workers=1, kernel=kernel
+        ),
     }
 
 
-def _load_trajectory(path: str) -> list:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            previous = json.load(handle)
-    except (OSError, ValueError):
-        return []
-    trajectory = previous.get("trajectory")
-    return list(trajectory) if isinstance(trajectory, list) else []
+def ledger_stats(suite: Dict) -> Dict:
+    """A suite's flat numeric stats for its ledger row.
+
+    ``wall_seconds`` is stored as ``seconds`` — the key
+    :func:`repro.analysis.runs.find_regressions` times a row by — and
+    non-numeric fields (``kind``, ``winner_lane``) are dropped.
+    """
+    stats = {}
+    for key, value in suite.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        stats["seconds" if key == "wall_seconds" else key] = value
+    return stats
 
 
 def main(argv=None) -> int:
@@ -403,154 +346,54 @@ def main(argv=None) -> int:
              "but throughput is NOT comparable to full runs)",
     )
     parser.add_argument(
-        "--out", default="benchmarks/results/BENCH_search.json",
-        help="output path for the JSON report",
-    )
-    parser.add_argument(
-        "--check-speedup", type=float, default=None, metavar="X",
-        help="exit 1 unless microbench nodes/sec >= X * recorded baseline "
-             "(full mode only)",
-    )
-    parser.add_argument(
         "--no-prune", action="store_true",
         help="run the exact-solve suites with the switchable "
-             "search-space reductions disabled (the 'before' trajectory "
-             "point)",
+             "search-space reductions disabled",
     )
     parser.add_argument(
         "--kernel", default=None,
         choices=BACKEND_NAMES,
         help="kernel backend for every suite (default: best available); "
-             "the resolved backend is recorded per trajectory entry and "
-             "bench-trend only compares entries of the same backend",
-    )
-    parser.add_argument(
-        "--flight-recorder", default=None, metavar="DIR",
-        help="attach the passive flight recorder (resource sampler + "
-             "sampling profiler, search stays on the fast path) across "
-             "the whole run; writes flight.jsonl + profile.folded under "
-             "DIR and a summary into the report",
+             "the resolved backend is part of each ledger row's config, "
+             "so pure and compiled rows never gate each other",
     )
     parser.add_argument(
         "--ledger-dir", default=None, metavar="DIR",
-        help="record this bench run in the run ledger at DIR (also "
-             "honors $REPRO_LEDGER_DIR); every trajectory entry carries "
-             "the run_id either way",
+        help="record one bench row per suite in the run ledger at DIR "
+             "(also honors $REPRO_LEDGER_DIR)",
     )
     args = parser.parse_args(argv)
 
-    from repro.obs.ledger import LEDGER_ENV, RunLedger, new_run_id
+    from repro.obs.ledger import LEDGER_ENV, RunLedger
 
-    run_id = new_run_id()
-    ledger_run = None
     ledger_root = args.ledger_dir or os.environ.get(LEDGER_ENV)
-    if ledger_root:
-        ledger = RunLedger(ledger_root)
-        ledger_run = ledger.open_run(
-            "bench",
-            {
-                "mode": "tiny" if args.tiny else "full",
-                "pruning": "off" if args.no_prune else "on",
-                "kernel": args.kernel,
-            },
-            run_id=run_id,
-        )
-
-    recorder = None
-    if args.flight_recorder:
-        from repro.obs import JsonlSink, Telemetry
-
-        os.makedirs(args.flight_recorder, exist_ok=True)
-        recorder = Telemetry(
-            sink=JsonlSink(
-                os.path.join(args.flight_recorder, "flight.jsonl")
-            ),
-            sample_resources=True,
-            profile=True,
-            profile_collapsed=os.path.join(
-                args.flight_recorder, "profile.folded"
-            ),
-            hot_path=False,
-        )
-
+    ledger = RunLedger(ledger_root) if ledger_root else None
     backend = resolve_backend(args.kernel).name
-    suites = run_suites(args.tiny, pruned=not args.no_prune,
-                        kernel=args.kernel)
-    flight_summary = None
-    if recorder is not None:
-        final = recorder.finish() or {}
-        profile = final.get("profile", {})
-        flight_summary = {
-            "directory": args.flight_recorder,
-            "resources": final.get("resources", {}),
-            "profile": {
-                key: profile.get(key)
-                for key in ("samples", "kernel_samples", "kernel_pct")
-            },
-        }
-    report = {
-        "schema": "repro.bench_search/2",
-        "mode": "tiny" if args.tiny else "full",
-        "pruning": "off" if args.no_prune else "on",
-        "kernel_backend": backend,
-        "python_version": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "baseline": dict(BASELINE),
-        "suites": suites,
-    }
-    if flight_summary is not None:
-        report["flight_recorder"] = flight_summary
-    if not args.tiny:
-        current = suites[MICRO_SUITE]["nodes_per_sec"]
-        report["speedup_vs_baseline"] = {
-            MICRO_SUITE: current / BASELINE["qft8_lnn_exact_nodes_per_sec"]
-        }
-    report["trajectory"] = _load_trajectory(args.out) + [
-        _trajectory_entry(
-            report,
-            run_id=run_id,
-            ledger_path=ledger_run.ledger.root if ledger_run else None,
-        )
-    ]
-
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-
-    if ledger_run is not None:
-        ledger_run.add_artifact("bench_json", args.out)
-        if args.flight_recorder:
-            ledger_run.add_artifact("flight_recorder", args.flight_recorder)
-        ledger_run.finish("ok", stats={
-            name: {
-                "nodes_expanded": suite.get("nodes_expanded"),
-                "nodes_per_sec": suite.get("nodes_per_sec"),
-            }
-            for name, suite in suites.items()
-        })
+    mode = "tiny" if args.tiny else "full"
+    pruning = "off" if args.no_prune else "on"
 
     print(f"{'kernel backend':22s} {backend:>18s}  "
-          f"(python {report['python_version']}, "
-          f"{report['cpu_count']} cpu)")
-    for name, suite in suites.items():
+          f"(python {platform.python_version()}, {os.cpu_count()} cpu)")
+    for name, run in suite_plan(
+        args.tiny, pruned=not args.no_prune, kernel=args.kernel
+    ).items():
+        ledger_run = None
+        if ledger is not None:
+            ledger_run = ledger.open_run("bench", {
+                "suite": name, "mode": mode, "pruning": pruning,
+                "kernel": backend,
+            })
+        suite = run()
+        if ledger_run is not None:
+            ledger_run.finish("ok", stats=ledger_stats(suite))
         rate = suite.get("nodes_per_sec")
         rate_txt = f"{rate:,.0f} nodes/s" if rate else "—"
         memo = suite.get("memo_hit_rate")
         memo_txt = f"memo {memo:.1%}" if memo is not None else "memo —"
         print(f"{name:22s} {rate_txt:>18s}  "
               f"{suite['wall_seconds']:.3f}s  {memo_txt}")
-    if "speedup_vs_baseline" in report:
-        speedup = report["speedup_vs_baseline"][MICRO_SUITE]
-        print(f"{'speedup vs baseline':22s} {speedup:>17.2f}x  "
-              f"(baseline {BASELINE['commit']})")
-        if args.check_speedup is not None and speedup < args.check_speedup:
-            print(
-                f"FAIL: microbench speedup {speedup:.2f}x below required "
-                f"{args.check_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-    print(f"wrote {args.out}")
+    if ledger is not None:
+        print(f"recorded bench rows in ledger {ledger.root}")
     return 0
 
 

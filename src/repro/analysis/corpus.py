@@ -8,7 +8,7 @@ Wille/Table-1, OLSQ/Table-2, Table-3 large circuits), runs it through
 :func:`~repro.analysis.batch.map_many`, and measures the fleet-level
 number that matters for capacity planning: **circuits per minute**.
 
-Three pieces:
+Two pieces:
 
 * :func:`build_corpus` — a deterministic, seeded stream of
   ``(label, circuit)`` requests: ``size // repeat_factor`` distinct base
@@ -20,9 +20,10 @@ Three pieces:
   warm-cache configuration and return a throughput summary (wall
   seconds, circuits/min, queue-wait fraction and warm-cache hit rate
   from the fleet rollup when telemetry is on).
-* :func:`append_corpus_trajectory` — record ``corpus_fleet`` suites in
-  ``BENCH_search.json`` so ``repro bench-trend --check`` gates fleet
-  throughput alongside single-search node counts.
+
+With ``--ledger-dir`` the ``repro corpus`` command records each run's
+summary in the run ledger, where ``repro runs regressions`` gates it
+alongside single-search node counts.
 
 Every configuration routes identically: scheduler and warm cache change
 *where and how fast* each circuit is mapped, never the mapping — the
@@ -32,10 +33,7 @@ and diffs depth / swap / node counts per request.
 
 from __future__ import annotations
 
-import datetime
-import json
 import random
-import subprocess
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -289,111 +287,3 @@ def identity_mismatches(run_a: Dict, run_b: Dict) -> List[str]:
         )
     return mismatches
 
-
-# ----------------------------------------------------------------------
-# BENCH_search.json trajectory recording
-# ----------------------------------------------------------------------
-
-#: Schema written when the trajectory file does not exist yet (matches
-#: benchmarks/bench_search_perf.py).
-BENCH_SCHEMA = "repro.bench_search/2"
-
-
-def corpus_suite(summary: Dict, name_suffix: str = "") -> Tuple[str, Dict]:
-    """One ``corpus_fleet`` suite entry from a :func:`run_corpus` summary."""
-    name = f"corpus_fleet{name_suffix}"
-    suite = {
-        "kind": "corpus-fleet",
-        "scheduler": summary["scheduler"],
-        "warm_cache": summary["warm_cache"],
-        "workers": summary["workers"],
-        "circuits": summary["circuits"],
-        "distinct_circuits": summary.get("distinct_circuits"),
-        "wall_seconds": summary["wall_seconds"],
-        "circuits_per_min": summary["circuits_per_min"],
-        "nodes_expanded": summary["nodes_expanded"],
-    }
-    if summary.get("queue_wait_frac") is not None:
-        suite["queue_wait_frac"] = summary["queue_wait_frac"]
-    if summary.get("warm_cache_hit_rate") is not None:
-        suite["warm_cache_hit_rate"] = summary["warm_cache_hit_rate"]
-    return name, suite
-
-
-def _current_commit() -> str:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip() or "unknown"
-    except Exception:  # noqa: BLE001 - not a git checkout
-        return "unknown"
-
-
-def append_corpus_trajectory(
-    json_path: str,
-    suites: Dict[str, Dict],
-    *,
-    kernel_backend: Optional[str] = None,
-    run_id: Optional[str] = None,
-    ledger_path: Optional[str] = None,
-) -> Dict:
-    """Append one trajectory entry carrying ``suites`` to ``json_path``.
-
-    The entry mirrors ``benchmarks/bench_search_perf.py``'s shape
-    (commit, UTC date, mode/pruning/kernel-backend configuration keys)
-    so ``repro bench-trend`` tabulates and ``--check`` gates corpus
-    suites exactly like search suites.  The existing report's other
-    top-level fields (schema, baseline) are preserved; a missing file is
-    created fresh.
-
-    ``run_id`` / ``ledger_path`` make the row traceable: the full git
-    SHA plus the ledger entry (config fingerprint, artifacts, host info)
-    behind this aggregate lives at ``<ledger_path>/index.jsonl`` under
-    ``run_id``.  Both are recorded as ``None`` when no ledger was
-    configured, keeping the entry shape stable.
-    """
-    import os
-    import platform
-
-    from ..obs.ledger import git_sha
-
-    if kernel_backend is None:
-        from ..core.kernels import resolve_backend
-
-        kernel_backend = resolve_backend(None).name
-    try:
-        with open(json_path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-        if not isinstance(report, dict):
-            report = {}
-    except (OSError, ValueError):
-        report = {}
-    report.setdefault("schema", BENCH_SCHEMA)
-    trajectory = report.get("trajectory")
-    if not isinstance(trajectory, list):
-        trajectory = []
-    entry = {
-        "commit": _current_commit(),
-        "git_sha": git_sha(),
-        "run_id": run_id,
-        "ledger_path": ledger_path,
-        "date": datetime.datetime.now(datetime.timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
-        ),
-        "mode": "full",
-        "pruning": "on",
-        "kernel_backend": kernel_backend,
-        "python_version": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "suites": suites,
-    }
-    trajectory.append(entry)
-    report["trajectory"] = trajectory
-    directory = os.path.dirname(json_path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    return entry

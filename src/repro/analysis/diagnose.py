@@ -1,25 +1,18 @@
-"""Offline analysis of expansion-level search traces + perf-trend checks.
+"""Offline analysis of expansion-level search traces.
 
-Two consumers live here:
-
-* ``repro diagnose <trace.jsonl>`` — :func:`diagnose` digests a
-  :class:`~repro.obs.trace.TraceRecorder` stream into the evidence the
-  pruning literature actually argues from: a per-rule **pruning
-  attribution** breakdown (which rule killed how many subtrees, split by
-  search phase and by progress quartile), a **heuristic-accuracy audit**
-  along the optimal path (h(v) vs. true remaining depth — slack ≥ 0
-  everywhere is an empirical admissibility proof, and the slack
-  histogram quantifies how tight §5.1's bound runs), **queue/f-frontier
-  dynamics**, and the **incumbent-tightening timeline** of the anytime
-  bound.  On a complete (``mode="full"``) trace the per-record stream is
-  reconciled *exactly* against the run's reported counters — any
-  mismatch means the trace layer and the search disagree and is reported
-  as an inconsistency.
-
-* ``repro bench-trend --check`` — :func:`check_trend` compares the
-  newest ``BENCH_search.json`` trajectory entry against the best prior
-  entry of the same configuration, per suite, with nodes-expanded and
-  wall-time thresholds; regressions exit nonzero so CI can gate on it.
+``repro diagnose <trace.jsonl>`` — :func:`diagnose` digests a
+:class:`~repro.obs.trace.TraceRecorder` stream into the evidence the
+pruning literature actually argues from: a per-rule **pruning
+attribution** breakdown (which rule killed how many subtrees, split by
+search phase and by progress quartile), a **heuristic-accuracy audit**
+along the optimal path (h(v) vs. true remaining depth — slack ≥ 0
+everywhere is an empirical admissibility proof, and the slack
+histogram quantifies how tight §5.1's bound runs), **queue/f-frontier
+dynamics**, and the **incumbent-tightening timeline** of the anytime
+bound.  On a complete (``mode="full"``) trace the per-record stream is
+reconciled *exactly* against the run's reported counters — any
+mismatch means the trace layer and the search disagree and is reported
+as an inconsistency.
 """
 
 from __future__ import annotations
@@ -35,7 +28,6 @@ from ..obs.trace import (
     EV_SUMMARY,
     REASON_TO_STAT,
 )
-from .runs import DEFAULT_MAX_NODE_RATIO, DEFAULT_MIN_RATE_RATIO
 
 #: Stat keys a trace's per-record stream can be reconciled against.
 RECONCILED_STATS = (
@@ -49,9 +41,6 @@ RECONCILED_STATS = (
     "root_candidates_restricted",
     "closed_dominated",
 )
-
-#: BENCH_search.json schema versions :func:`check_trend` understands.
-KNOWN_BENCH_SCHEMAS = ("repro.bench_search/2",)
 
 
 def load_trace(path: str) -> List[Dict]:
@@ -406,129 +395,3 @@ def render_report(report: Dict) -> str:
         )
     return "\n".join(lines)
 
-
-# ----------------------------------------------------------------------
-# Perf-regression detection over the BENCH_search.json trajectory
-# ----------------------------------------------------------------------
-
-def check_trend(
-    report: Dict,
-    max_node_ratio: float = DEFAULT_MAX_NODE_RATIO,
-    max_time_ratio: float = 3.0,
-    min_time_floor: float = 0.1,
-    min_throughput_ratio: float = DEFAULT_MIN_RATE_RATIO,
-) -> Tuple[bool, List[str]]:
-    """Compare the newest trajectory entry against its best predecessors.
-
-    For every suite in the newest entry, looks up prior entries with the
-    same ``mode`` + ``pruning`` + ``kernel_backend`` configuration (legacy
-    entries without a recorded backend count as ``"pure"``) and flags:
-
-    * ``nodes_expanded`` above ``best_prior * max_node_ratio`` — the
-      search expanded more nodes than it used to on identical input (node
-      counts are deterministic, so the default tolerance is tight);
-    * ``wall_seconds`` above ``best_prior * max_time_ratio`` when the
-      prior best is at least ``min_time_floor`` seconds (sub-100 ms
-      timings are noise-dominated and never gate);
-    * ``circuits_per_min`` (fleet-throughput suites, e.g.
-      ``corpus_fleet`` from ``repro corpus --record``) below
-      ``best_prior * min_throughput_ratio`` — batch throughput dropped
-      to less than that fraction of the best recorded run.
-
-    Returns ``(ok, messages)``; ``messages`` always explains what was
-    (or could not be) compared.
-    """
-    trajectory = report.get("trajectory") or []
-    if len(trajectory) < 2:
-        return True, [
-            "trend check: fewer than 2 trajectory entries — nothing to "
-            "compare"
-        ]
-    newest = trajectory[-1]
-
-    def _config(entry: Dict) -> Tuple:
-        # Entries written before backends existed ran the pure-python
-        # path, so treat a missing field as "pure" rather than refusing
-        # to compare against the whole pre-backend history.
-        return (
-            entry.get("mode"),
-            entry.get("pruning"),
-            entry.get("kernel_backend", "pure"),
-        )
-
-    config = _config(newest)
-    priors = [
-        entry for entry in trajectory[:-1] if _config(entry) == config
-    ]
-    if not priors:
-        return True, [
-            f"trend check: no prior entries with mode={config[0]} "
-            f"pruning={config[1]} kernel={config[2]} — timings from "
-            "different backends are not comparable; nothing to check"
-        ]
-
-    ok = True
-    messages: List[str] = []
-    for suite, current in (newest.get("suites") or {}).items():
-        prior_suites = [
-            entry["suites"][suite] for entry in priors
-            if suite in (entry.get("suites") or {})
-        ]
-        if not prior_suites:
-            messages.append(f"{suite}: new suite, no prior entries")
-            continue
-
-        nodes = current.get("nodes_expanded")
-        prior_nodes = [
-            s["nodes_expanded"] for s in prior_suites
-            if s.get("nodes_expanded") is not None
-        ]
-        if nodes is not None and prior_nodes:
-            best = min(prior_nodes)
-            limit = best * max_node_ratio
-            if nodes > limit:
-                ok = False
-                messages.append(
-                    f"{suite}: nodes_expanded regressed "
-                    f"{best} -> {nodes} (> {max_node_ratio:.2f}x)"
-                )
-            else:
-                messages.append(
-                    f"{suite}: nodes_expanded {nodes} vs best {best} ok"
-                )
-
-        seconds = current.get("wall_seconds")
-        prior_seconds = [
-            s["wall_seconds"] for s in prior_suites
-            if s.get("wall_seconds") is not None
-        ]
-        if seconds is not None and prior_seconds:
-            best = min(prior_seconds)
-            if best >= min_time_floor and seconds > best * max_time_ratio:
-                ok = False
-                messages.append(
-                    f"{suite}: wall_seconds regressed "
-                    f"{best:.3f}s -> {seconds:.3f}s "
-                    f"(> {max_time_ratio:.1f}x)"
-                )
-
-        throughput = current.get("circuits_per_min")
-        prior_throughput = [
-            s["circuits_per_min"] for s in prior_suites
-            if s.get("circuits_per_min") is not None
-        ]
-        if throughput is not None and prior_throughput:
-            best = max(prior_throughput)
-            if throughput < best * min_throughput_ratio:
-                ok = False
-                messages.append(
-                    f"{suite}: circuits_per_min regressed "
-                    f"{best:.1f} -> {throughput:.1f} "
-                    f"(< {min_throughput_ratio:.2f}x best)"
-                )
-            else:
-                messages.append(
-                    f"{suite}: circuits_per_min {throughput:.1f} vs "
-                    f"best {best:.1f} ok"
-                )
-    return ok, messages

@@ -14,9 +14,9 @@ answers the questions the recordings exist for:
   behaviour change, not noise, which is why counters and timings are
   reported separately (``repro runs diff``).
 * :func:`find_regressions` — scan the whole ledger for same-fingerprint
-  runs whose ``nodes_expanded`` or nodes/sec drifted beyond a threshold:
-  bench-trend-style gating over *all* recorded history rather than the
-  curated BENCH_search.json suites (``repro runs regressions``).
+  runs whose ``nodes_expanded`` or nodes/sec drifted beyond a threshold
+  (``repro runs regressions``, the repo's one regression gate: ``map``,
+  ``map-batch``, ``corpus`` and per-suite ``bench`` rows all feed it).
 
 Everything here consumes plain index-row dicts, so it works on a ledger
 written by any version that kept the row schema — and on synthetic rows
@@ -36,8 +36,7 @@ _TIMING_KEYS = frozenset({
 })
 
 #: Wall-clock floor below which the nodes/sec regression gate is
-#: skipped: timer noise dominates millisecond runs (same convention as
-#: ``check_trend`` in :mod:`repro.analysis.diagnose`).
+#: skipped: timer noise dominates millisecond runs.
 MIN_GATE_SECONDS = 0.1
 
 #: Default drift thresholds for :func:`find_regressions` — a run doing
@@ -246,10 +245,16 @@ def _nodes(row: Dict) -> Optional[int]:
 
 
 def _seconds(row: Dict) -> Optional[float]:
+    """The row's own search time: a map's ``seconds``, a batch's
+    ``total_seconds`` or a corpus run's ``wall_seconds``.  The command
+    wall ``wall_s`` is the last resort: for ``corpus`` it also covers the
+    ``--verify-identity`` and ``--baseline`` reruns."""
     stats = row.get("stats") or {}
-    value = stats.get("seconds", stats.get("total_seconds"))
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        value = row.get("wall_s")
+    for key in ("seconds", "total_seconds", "wall_seconds"):
+        value = stats.get(key)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    value = row.get("wall_s")
     return float(value) if isinstance(value, (int, float)) else None
 
 
@@ -271,7 +276,7 @@ def find_regressions(
     * nodes/sec below ``min_rate_ratio`` × the best prior rate — same
       work, slower machine-side.  Skipped when either run is shorter
       than ``min_gate_seconds`` (timer noise dominates millisecond
-      runs, the same convention as ``bench-trend --check``).
+      runs).
 
     Only ``status == "ok"`` runs participate (a budget-tripped run's
     counters measure the budget, not the search).  Returns one finding

@@ -12,15 +12,14 @@ Commands:
   or Prometheus text exposition format;
 * ``corpus`` — corpus-scale throughput sweep: map a seeded benchmark
   request stream across the worker pool and report circuits/min
-  (optionally vs the static-chunk cold-cache baseline, with the
-  ``corpus_fleet`` suite recorded for ``bench-trend --check``);
+  (optionally vs the static-chunk cold-cache baseline);
 * ``benchmarks`` — list the regenerable benchmark names;
-* ``bench-trend`` — tabulate the recorded search-perf trajectory
-  (``benchmarks/results/BENCH_search.json``); ``--check`` turns it
-  into a CI perf-regression gate;
 * ``runs`` — query the persistent run ledger (``--ledger-dir`` /
-  ``$REPRO_LEDGER_DIR``): ``list`` / ``show`` / counter-by-counter
-  ``diff`` / ledger-wide ``regressions`` scan / ``gc --keep N``;
+  ``$REPRO_LEDGER_DIR``), the one store of run history that ``map``,
+  ``map-batch``, ``corpus`` and ``benchmarks/bench_search_perf.py``
+  record into: ``list`` (``--kind bench --json`` exports the perf
+  history) / ``show`` / counter-by-counter ``diff`` / ledger-wide
+  ``regressions`` scan, the one regression gate / ``gc --keep N``;
 * ``top`` — live fleet monitor over a ``--telemetry-dir``: per-worker
   throughput, queue depth, warm-cache hit rate, incumbent timeline;
 * ``archs`` — list the built-in architectures.
@@ -64,7 +63,7 @@ from .circuit import (
 )
 from .circuit.generators import qft_skeleton, random_circuit
 from .core import HeuristicMapper, OptimalMapper, SearchBudgetExceeded
-from .core.kernels import BACKEND_NAMES
+from .core.kernels import BACKEND_NAMES, resolve_backend
 from .obs import JsonlSink, Telemetry, TraceRecorder
 from .verify import validate_result
 
@@ -290,6 +289,16 @@ def _print_stats(stats: dict) -> None:
     print(f"stats    : {cells}")
 
 
+def _kernel_name(args) -> str:
+    """The kernel backend a run resolves to, for its ledger config.
+
+    ``--kernel`` defaults to ``None`` (best available, or
+    ``$REPRO_KERNEL_BACKEND``); recording the resolved name keeps pure
+    and compiled runs in separate regression groups.
+    """
+    return resolve_backend(getattr(args, "kernel", None)).name
+
+
 def _map_run_config(args, circuit, coupling, latency) -> dict:
     """The reproducible configuration of one ``map`` invocation.
 
@@ -309,7 +318,7 @@ def _map_run_config(args, circuit, coupling, latency) -> dict:
         "arch_sha": arch_fingerprint(coupling, latency)[:16],
         "latency": args.latency,
         "mapper": args.mapper,
-        "kernel": getattr(args, "kernel", None),
+        "kernel": _kernel_name(args),
         "search_initial": bool(getattr(args, "search_initial", False)),
         "seed": getattr(args, "seed", 0),
         "budget": args.budget,
@@ -520,7 +529,7 @@ def _cmd_map_batch(args) -> int:
         "arch": args.arch,
         "latency": args.latency,
         "mapper": args.mapper,
-        "kernel": getattr(args, "kernel", None),
+        "kernel": _kernel_name(args),
         "search_initial": bool(args.search_initial),
         "seed": args.seed,
         "workers": args.workers,
@@ -643,13 +652,7 @@ def _cmd_corpus(args) -> int:
     """Corpus-scale throughput sweep: a seeded benchmark request stream."""
     import json
 
-    from .analysis.corpus import (
-        append_corpus_trajectory,
-        build_corpus,
-        corpus_suite,
-        identity_mismatches,
-        run_corpus,
-    )
+    from .analysis.corpus import build_corpus, identity_mismatches, run_corpus
 
     coupling = by_name(args.arch)
     latency = _LATENCIES[args.latency]
@@ -687,7 +690,7 @@ def _cmd_corpus(args) -> int:
         "arch_sha": arch_fingerprint(coupling, latency)[:16],
         "latency": args.latency,
         "mapper": args.mapper,
-        "kernel": getattr(args, "kernel", None),
+        "kernel": _kernel_name(args),
         "workers": args.workers,
         "scheduler": args.scheduler,
         "warm_cache": warm,
@@ -728,7 +731,6 @@ def _cmd_corpus(args) -> int:
         if not rec["ok"]:
             print(f"  FAILED {rec['label']}: {rec['error']}")
 
-    suites = {corpus_suite(summary)[0]: corpus_suite(summary)[1]}
     baseline = None
     if args.baseline:
         baseline = run_corpus(
@@ -747,11 +749,6 @@ def _cmd_corpus(args) -> int:
                 summary["circuits_per_min"] / baseline["circuits_per_min"]
             )
             print(f"{'speedup':14s}: {speedup:.2f}x circuits/min")
-            suites[corpus_suite(summary)[0]]["speedup_vs_static"] = round(
-                speedup, 4
-            )
-        name, suite = corpus_suite(baseline, "_static_baseline")
-        suites[name] = suite
 
     identity_failed = False
     if args.verify_identity:
@@ -782,19 +779,6 @@ def _cmd_corpus(args) -> int:
                 f"sequential reference"
             )
 
-    if args.record:
-        entry = append_corpus_trajectory(
-            args.bench_json,
-            suites,
-            run_id=run.run_id if run is not None else None,
-            ledger_path=run.ledger.root if run is not None else None,
-        )
-        print(
-            f"recorded corpus_fleet trajectory entry "
-            f"(commit {entry['commit']}) in {args.bench_json}"
-        )
-        if run is not None:
-            run.add_artifact("bench_json", args.bench_json)
     if args.json_out:
         payload = {"corpus": summary}
         if baseline is not None:
@@ -924,86 +908,6 @@ def _cmd_diagnose(args) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
-
-
-def _cmd_bench_trend(args) -> int:
-    """Tabulate the perf trajectory recorded in ``BENCH_search.json``."""
-    import json
-
-    try:
-        with open(args.json, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    except OSError as exc:
-        print(
-            f"error: cannot read {args.json}: {exc}\n"
-            "run benchmarks/bench_search_perf.py to record a trajectory",
-            file=sys.stderr,
-        )
-        return 1
-    except ValueError as exc:
-        print(f"error: {args.json} is not valid JSON: {exc}",
-              file=sys.stderr)
-        return 1
-    from .analysis.diagnose import KNOWN_BENCH_SCHEMAS, check_trend
-
-    schema = report.get("schema") if isinstance(report, dict) else None
-    if schema not in KNOWN_BENCH_SCHEMAS:
-        known = ", ".join(KNOWN_BENCH_SCHEMAS)
-        print(
-            f"error: {args.json} has unknown schema {schema!r} "
-            f"(expected one of: {known})\n"
-            "re-record it with benchmarks/bench_search_perf.py",
-            file=sys.stderr,
-        )
-        return 1
-    trajectory = report.get("trajectory") or []
-    if not trajectory:
-        print(f"no trajectory entries in {args.json} — run "
-              "benchmarks/bench_search_perf.py to record one")
-        return 1
-
-    suite_names: list = []
-    for entry in trajectory:
-        for name in entry.get("suites") or {}:
-            if name not in suite_names:
-                suite_names.append(name)
-
-    for name in suite_names:
-        print(f"{name}:")
-        print(f"  {'commit':9s} {'date':21s} {'mode':5s} {'prune':5s} "
-              f"{'depth':>5s} {'nodes_expanded':>14s} {'nodes/sec':>12s}")
-        for entry in trajectory:
-            suite = (entry.get("suites") or {}).get(name)
-            if suite is None:
-                continue
-            depth = suite.get("depth")
-            rate = suite.get("nodes_per_sec")
-            print(
-                f"  {str(entry.get('commit', '?')):9s} "
-                f"{str(entry.get('date', '?')):21s} "
-                f"{str(entry.get('mode', '?')):5s} "
-                f"{str(entry.get('pruning', '?')):5s} "
-                f"{'—' if depth is None else depth:>5} "
-                f"{suite.get('nodes_expanded', '—'):>14} "
-                f"{'—' if rate is None else format(rate, ',.0f'):>12}"
-            )
-        print()
-    print(f"{len(trajectory)} trajectory entries in {args.json}")
-    if args.check:
-        ok, messages = check_trend(
-            report,
-            max_node_ratio=args.max_node_ratio,
-            max_time_ratio=args.max_time_ratio,
-            min_throughput_ratio=args.min_throughput_ratio,
-        )
-        print()
-        for message in messages:
-            print(f"  {message}")
-        if not ok:
-            print("trend check: REGRESSION detected", file=sys.stderr)
-            return 1
-        print("trend check: ok")
     return 0
 
 
@@ -1412,15 +1316,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(queue-wait fraction and warm-cache hit rate come from "
              "here)",
     )
-    corpus_cmd.add_argument(
-        "--record", action="store_true",
-        help="append corpus_fleet suites to the bench trajectory "
-             "(--bench-json) for bench-trend gating",
-    )
-    corpus_cmd.add_argument(
-        "--bench-json", default="benchmarks/results/BENCH_search.json",
-        help="trajectory file --record appends to",
-    )
     corpus_cmd.add_argument("--json-out", default=None,
                             help="write the full corpus report as JSON")
     _add_ledger_flag(corpus_cmd)
@@ -1464,37 +1359,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the full diagnostics report as JSON",
     )
     diag_cmd.set_defaults(func=_cmd_diagnose)
-
-    trend_cmd = sub.add_parser(
-        "bench-trend",
-        help="tabulate the recorded search-perf trajectory",
-    )
-    trend_cmd.add_argument(
-        "--json", default="benchmarks/results/BENCH_search.json",
-        help="path to the bench_search_perf.py report",
-    )
-    trend_cmd.add_argument(
-        "--check", action="store_true",
-        help="compare the newest trajectory entry against prior entries "
-             "of the same configuration; exit 1 on regression",
-    )
-    trend_cmd.add_argument(
-        "--max-node-ratio", type=float, default=DEFAULT_MAX_NODE_RATIO,
-        help="--check: fail when nodes_expanded exceeds this multiple "
-             "of the best prior entry",
-    )
-    trend_cmd.add_argument(
-        "--max-time-ratio", type=float, default=3.0,
-        help="--check: fail when wall_seconds exceeds this multiple of "
-             "the best prior entry (priors under 0.1s never gate)",
-    )
-    trend_cmd.add_argument(
-        "--min-throughput-ratio", type=float,
-        default=DEFAULT_MIN_RATE_RATIO,
-        help="--check: fail when a fleet suite's circuits_per_min drops "
-             "below this fraction of the best prior entry",
-    )
-    trend_cmd.set_defaults(func=_cmd_bench_trend)
 
     runs_cmd = sub.add_parser(
         "runs", help="query the persistent run ledger",

@@ -3,7 +3,8 @@
 Telemetry so far has been *per-invocation*: spans, traces, fleet shards
 and stats land in whatever files the caller named, with nothing tying
 them together afterwards.  The ledger gives each ``map`` / ``map-batch``
-/ ``corpus`` / ``portfolio`` invocation a durable **run_id**, an
+/ ``corpus`` invocation and each suite of
+``benchmarks/bench_search_perf.py`` a durable **run_id**, an
 append-only JSONL **index** and a per-run **artifact directory**, so
 questions like "how did this circuit map last week?" or "which commit
 regressed qft6?" have a recorded answer (the cross-run comparison
@@ -60,7 +61,7 @@ INDEX_NAME = "index.jsonl"
 #: different days or output paths must still group together.
 _VOLATILE_CONFIG_KEYS = frozenset({
     "argv", "json_out", "metrics_out", "search_trace", "qasm_out",
-    "telemetry_dir", "profile_out", "bench_json",
+    "telemetry_dir", "profile_out",
 })
 
 

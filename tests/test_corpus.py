@@ -5,16 +5,16 @@ import json
 import pytest
 
 from repro.analysis.corpus import (
-    append_corpus_trajectory,
     base_circuits,
     build_corpus,
-    corpus_suite,
     identity_mismatches,
     run_corpus,
 )
 from repro.arch import lnn
 from repro.circuit import uniform_latency
 from repro.core import HeuristicMapper
+from repro.core.kernels import resolve_backend
+from repro.obs import RunLedger
 
 
 def _mapper_factory():
@@ -94,67 +94,40 @@ class TestRunCorpus:
 
 
 class TestTrajectoryRecording:
-    def _summary(self, cpm):
-        return {
-            "scheduler": "stealing", "warm_cache": True, "workers": 4,
-            "circuits": 100, "ok": 100, "failed": 0,
-            "wall_seconds": 6000.0 / cpm, "circuits_per_min": cpm,
-            "mapping_seconds": 10.0, "nodes_expanded": 1234,
-            "queue_wait_frac": 0.2, "warm_cache_hit_rate": 0.75,
-            "records": [],
-        }
+    """Each corpus run with ``--ledger-dir`` appends one ledger row."""
 
-    def test_append_creates_and_extends_trajectory(self, tmp_path):
-        path = str(tmp_path / "BENCH_search.json")
-        name, suite = corpus_suite(self._summary(120.0))
-        assert name == "corpus_fleet"
-        entry = append_corpus_trajectory(path, {name: suite},
-                                         kernel_backend="pure")
-        assert entry["suites"]["corpus_fleet"]["circuits_per_min"] == 120.0
-        append_corpus_trajectory(path, {name: suite},
-                                 kernel_backend="pure")
-        report = json.loads((tmp_path / "BENCH_search.json").read_text())
-        assert report["schema"] == "repro.bench_search/2"
-        assert len(report["trajectory"]) == 2
-        recorded = report["trajectory"][0]["suites"]["corpus_fleet"]
-        assert recorded["warm_cache_hit_rate"] == 0.75
-        assert recorded["queue_wait_frac"] == 0.2
+    def test_append_creates_and_extends_trajectory(self, tmp_path, capsys):
+        from repro.cli import main
 
-    def test_check_trend_gates_throughput(self, tmp_path):
-        from repro.analysis.diagnose import check_trend
-
-        path = str(tmp_path / "BENCH_search.json")
-        fast = corpus_suite(self._summary(120.0))
-        slow = corpus_suite(self._summary(50.0))  # < 0.67 × 120
-        append_corpus_trajectory(path, {fast[0]: fast[1]},
-                                 kernel_backend="pure")
-        append_corpus_trajectory(path, {slow[0]: slow[1]},
-                                 kernel_backend="pure")
-        report = json.loads((tmp_path / "BENCH_search.json").read_text())
-        ok, messages = check_trend(report)
-        assert not ok
-        assert any("circuits_per_min regressed" in m for m in messages)
-
-        # within tolerance passes
-        fine = corpus_suite(self._summary(110.0))
-        append_corpus_trajectory(path, {fine[0]: fine[1]},
-                                 kernel_backend="pure")
-        report = json.loads((tmp_path / "BENCH_search.json").read_text())
-        ok, messages = check_trend(report)
-        assert ok
-        assert any("circuits_per_min 110.0" in m for m in messages)
+        ledger_dir = str(tmp_path / "runs")
+        for _ in range(2):
+            assert main([
+                "corpus", "--size", "6", "--repeat-factor", "3",
+                "--arch", "lnn-5", "--latency", "unit", "--workers", "1",
+                "--ledger-dir", ledger_dir,
+            ]) == 0
+        rows = RunLedger(ledger_dir).runs(kind="corpus")
+        assert len(rows) == 2
+        assert rows[0]["fingerprint"] == rows[1]["fingerprint"]
+        for row in rows:
+            assert row["config"]["kernel"] == resolve_backend(None).name
+            assert row["stats"]["ok"] == 6
+            assert row["stats"]["circuits_per_min"] > 0
+            assert row["stats"]["warm_cache_hit_rate"] is not None
+        # Two identical runs form a stable history: the gate passes.
+        capsys.readouterr()
+        assert main(["runs", "regressions", "--ledger-dir", ledger_dir]) == 0
+        assert "no regressions in 2 run(s)" in capsys.readouterr().out
 
 
 class TestCorpusCli:
     def test_corpus_command_end_to_end(self, tmp_path, capsys):
         from repro.cli import main
 
-        bench_json = tmp_path / "BENCH_search.json"
         code = main([
             "corpus", "--size", "6", "--repeat-factor", "3",
             "--arch", "lnn-5", "--latency", "unit", "--workers", "1",
-            "--verify-identity", "--record",
-            "--bench-json", str(bench_json),
+            "--verify-identity",
             "--json-out", str(tmp_path / "corpus.json"),
         ])
         assert code == 0
@@ -162,7 +135,5 @@ class TestCorpusCli:
         assert "6 requests" in out
         assert "circuits/min" in out
         assert "identity      : OK" in out
-        report = json.loads(bench_json.read_text())
-        assert "corpus_fleet" in report["trajectory"][-1]["suites"]
         payload = json.loads((tmp_path / "corpus.json").read_text())
         assert payload["corpus"]["ok"] == 6

@@ -2,23 +2,18 @@
 
 Covers the analyzer (`repro diagnose`) on real recorded traces — the
 attribution/audit/frontier/timeline sections and the exact counter
-reconciliation — plus `check_trend` on synthetic trajectories and the
-CLI exit-code contract for both commands (missing files, unknown
-schemas, regressions must all exit nonzero so CI can gate on them).
+reconciliation — plus the trend gate, `find_regressions` over run
+ledger rows, and the CLI exit-code contract for `repro diagnose` and
+`repro runs regressions` (missing files, empty traces and regressions
+must all exit nonzero so CI can gate on them).
 """
 
 import json
 
-import pytest
-
-from repro.analysis.diagnose import (
-    KNOWN_BENCH_SCHEMAS,
-    check_trend,
-    diagnose,
-    load_trace,
-    render_report,
-)
+from repro.analysis.diagnose import diagnose, load_trace, render_report
+from repro.analysis.runs import find_regressions, render_regressions
 from repro.cli import main
+from repro.obs import RunLedger
 
 
 def _record_trace(tmp_path, extra_args=()):
@@ -32,20 +27,20 @@ def _record_trace(tmp_path, extra_args=()):
     return path
 
 
-def _trend_report(entries):
-    return {"schema": KNOWN_BENCH_SCHEMAS[0], "trajectory": entries}
-
-
-def _entry(nodes, seconds=0.5, mode="full", pruning="on",
-           suite="qft5_lnn_solve"):
+def _row(run_id, nodes, seconds=0.5):
     return {
-        "commit": "abc1234",
-        "mode": mode,
-        "pruning": pruning,
-        "suites": {
-            suite: {"nodes_expanded": nodes, "wall_seconds": seconds},
-        },
+        "type": "run", "run_id": run_id, "kind": "map", "status": "ok",
+        "fingerprint": "fp1", "wall_s": seconds,
+        "stats": {"nodes_expanded": nodes, "seconds": seconds},
     }
+
+
+def _ledger(tmp_path, *nodes):
+    ledger_dir = str(tmp_path / "runs")
+    ledger = RunLedger(ledger_dir)
+    for i, n in enumerate(nodes):
+        ledger.append(_row(f"r{i + 1}", n))
+    return ledger_dir
 
 
 class TestDiagnose:
@@ -120,115 +115,65 @@ class TestDiagnoseCli:
 
 
 class TestCheckTrend:
-    def test_single_entry_nothing_to_compare(self):
-        ok, messages = check_trend(_trend_report([_entry(100)]))
-        assert ok
-        assert "nothing to compare" in messages[0]
+    """Same-fingerprint trend gate: 1.05 node ratio, 0.67 rate ratio."""
 
-    def test_different_config_not_compared(self):
-        ok, messages = check_trend(_trend_report([
-            _entry(100, pruning="off"), _entry(500, pruning="on"),
-        ]))
-        assert ok
-        assert "no prior entries" in messages[0]
+    def test_single_entry_nothing_to_compare(self):
+        assert find_regressions([_row("r1", 100)]) == []
+        assert render_regressions([], scanned=1) == (
+            "no regressions in 1 run(s)"
+        )
 
     def test_node_regression_detected(self):
-        ok, messages = check_trend(_trend_report([
-            _entry(100), _entry(120),
-        ]))
-        assert not ok
-        assert any("nodes_expanded regressed" in m for m in messages)
+        findings = find_regressions([_row("r1", 100), _row("r2", 120)])
+        assert [(f["run_id"], f["metric"], f["ratio"]) for f in findings] == [
+            ("r2", "nodes_expanded", 1.2)
+        ]
 
     def test_within_tolerance_passes(self):
-        ok, messages = check_trend(_trend_report([
-            _entry(100), _entry(104),
-        ]))
-        assert ok, messages
+        assert find_regressions([_row("r1", 100), _row("r2", 104)]) == []
 
     def test_compares_against_best_prior(self):
         # 104 regresses vs the best prior (80), despite beating 100.
-        ok, _ = check_trend(_trend_report([
-            _entry(100), _entry(80), _entry(104),
-        ]))
-        assert not ok
+        findings = find_regressions([
+            _row("r1", 100), _row("r2", 80), _row("r3", 104),
+        ])
+        assert [(f["run_id"], f["baseline_run"]) for f in findings] == [
+            ("r3", "r2")
+        ]
 
     def test_time_regression_detected_above_floor(self):
-        ok, messages = check_trend(_trend_report([
-            _entry(100, seconds=0.5), _entry(100, seconds=2.0),
-        ]))
-        assert not ok
-        assert any("wall_seconds regressed" in m for m in messages)
+        findings = find_regressions([
+            _row("r1", 100, seconds=0.5), _row("r2", 100, seconds=2.0),
+        ])
+        assert [(f["metric"], f["ratio"]) for f in findings] == [
+            ("nodes_per_sec", 0.25)
+        ]
 
     def test_sub_floor_timings_never_gate(self):
-        ok, _ = check_trend(_trend_report([
-            _entry(100, seconds=0.01), _entry(100, seconds=0.09),
-        ]))
-        assert ok  # 9x slower but noise-dominated territory
-
-    def test_new_suite_passes(self):
-        newest = _entry(999, suite="brand_new_suite")
-        ok, messages = check_trend(_trend_report([_entry(100), newest]))
-        assert ok
-        assert any("new suite" in m for m in messages)
+        findings = find_regressions([
+            _row("r1", 100, seconds=0.01), _row("r2", 100, seconds=0.09),
+        ])
+        assert findings == []  # 9x slower but noise-dominated territory
 
 
 class TestBenchTrendCli:
-    def test_missing_file_friendly_error(self, tmp_path, capsys):
-        code = main(["bench-trend", "--json",
-                     str(tmp_path / "missing.json")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "cannot read" in err
-        assert "bench_search_perf.py" in err
-
-    def test_invalid_json_friendly_error(self, tmp_path, capsys):
-        path = tmp_path / "garbage.json"
-        path.write_text("{not json")
-        code = main(["bench-trend", "--json", str(path)])
-        assert code == 1
-        assert "not valid JSON" in capsys.readouterr().err
-
-    def test_unknown_schema_friendly_error(self, tmp_path, capsys):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(
-            {"schema": "repro.bench_search/1", "trajectory": [_entry(5)]}
-        ))
-        code = main(["bench-trend", "--json", str(path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "unknown schema 'repro.bench_search/1'" in err
-        assert KNOWN_BENCH_SCHEMAS[0] in err
+    """`repro runs regressions` exit codes on a synthetic ledger."""
 
     def test_check_passes_on_stable_trajectory(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(_trend_report(
-            [_entry(100), _entry(100)]
-        )))
-        code = main(["bench-trend", "--json", str(path), "--check"])
+        ledger_dir = _ledger(tmp_path, 100, 100)
+        code = main(["runs", "regressions", "--ledger-dir", ledger_dir])
         assert code == 0
-        assert "trend check: ok" in capsys.readouterr().out
+        assert "no regressions in 2 run(s)" in capsys.readouterr().out
 
     def test_check_exits_1_on_regression(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(_trend_report(
-            [_entry(100), _entry(200)]
-        )))
-        code = main(["bench-trend", "--json", str(path), "--check"])
+        ledger_dir = _ledger(tmp_path, 100, 200)
+        code = main(["runs", "regressions", "--ledger-dir", ledger_dir])
         assert code == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.err
-        assert "nodes_expanded regressed" in captured.out
+        out = capsys.readouterr().out
+        assert "r2" in out and "nodes_expanded" in out
 
-    def test_check_threshold_flags(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(_trend_report(
-            [_entry(100), _entry(200)]
-        )))
-        code = main(["bench-trend", "--json", str(path), "--check",
+    def test_check_threshold_flags(self, tmp_path):
+        ledger_dir = _ledger(tmp_path, 100, 200)
+        code = main(["runs", "regressions", "--ledger-dir", ledger_dir,
                      "--max-node-ratio", "2.5"])
-        assert code == 0
-
-    def test_real_repo_trajectory_parses(self, capsys):
-        code = main(["bench-trend", "--json",
-                     "benchmarks/results/BENCH_search.json", "--check"])
         assert code == 0

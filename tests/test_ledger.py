@@ -10,7 +10,10 @@ Covers the observability ledger stack end to end:
   ``TelemetrySpec`` into progress events, metrics snapshots, worker
   shards and the fleet rollup;
 * :mod:`repro.analysis.runs` — counter-by-counter diff (deterministic
-  counters vs noisy timings) and the same-fingerprint regression scan;
+  counters vs noisy timings) and the same-fingerprint regression scan:
+  backend separation, corpus rows timed by their own search wall, and
+  per-suite rows of ``benchmarks/bench_search_perf.py`` (the scan's
+  node and rate thresholds are pinned in ``tests/test_diagnose.py``);
 * ``FleetMonitor`` — frame rendering from synthetic shard directories;
 * Prometheus exposition edge cases — empty registries, zero-sample
   histograms, names needing sanitization, bool/None sample values;
@@ -36,6 +39,7 @@ from repro.analysis.runs import (
 from repro.circuit import to_qasm
 from repro.circuit.generators import qft_skeleton
 from repro.cli import main
+from repro.core.kernels import resolve_backend
 from repro.obs import (
     JsonlSink,
     MemorySink,
@@ -254,9 +258,9 @@ class TestCorrelationId:
 # Cross-run analytics
 # ----------------------------------------------------------------------
 
-def _row(run_id, fingerprint="fp1", status="ok", **stats):
+def _row(run_id, fingerprint="fp1", status="ok", kind="map", **stats):
     return {
-        "type": "run", "run_id": run_id, "kind": "map",
+        "type": "run", "run_id": run_id, "kind": kind,
         "status": status, "fingerprint": fingerprint,
         "wall_s": stats.pop("wall_s", 0.5), "stats": stats,
     }
@@ -319,6 +323,81 @@ class TestRunsAnalysis:
             _row("r2", nodes_expanded=100, seconds=0.02),
         ]
         assert find_regressions(rows) == []
+
+    def test_backend_rows_never_gate_each_other(self):
+        # The ledger config records the resolved backend, so a compiled
+        # run and a pure run of the same problem land in different
+        # fingerprint groups: the pure run's half rate is not a
+        # regression.
+        config = {"command": "map", "circuit": "qft:6", "mapper": "optimal"}
+        compiled = config_fingerprint(dict(config, kernel="compiled"))
+        pure = config_fingerprint(dict(config, kernel="pure"))
+        assert compiled != pure
+        rows = [
+            _row("r1", fingerprint=compiled, nodes_expanded=2000,
+                 seconds=0.5),
+            _row("r2", fingerprint=pure, nodes_expanded=2000, seconds=1.0),
+        ]
+        assert find_regressions(rows) == []
+        # The same pair on one backend is a rate regression.
+        rows[1]["fingerprint"] = compiled
+        assert [f["metric"] for f in find_regressions(rows)] == [
+            "nodes_per_sec"
+        ]
+
+    def test_corpus_rows_timed_by_their_search_wall(self):
+        # A corpus row's wall_s covers the whole command, including the
+        # --verify-identity and --baseline reruns; the gate must time it
+        # by the summary's own wall_seconds.
+        rows = [
+            _row("r1", kind="corpus", wall_s=1.0, nodes_expanded=2000,
+                 wall_seconds=1.0, circuits_per_min=720.0),
+            _row("r2", kind="corpus", wall_s=3.0, nodes_expanded=2000,
+                 wall_seconds=1.0, circuits_per_min=720.0),
+        ]
+        assert find_regressions(rows) == []
+        # Throughput: 10% slower passes, 2.4x slower is flagged.
+        rows.append(_row("r3", kind="corpus", nodes_expanded=2000,
+                         wall_seconds=1.1))
+        assert find_regressions(rows) == []
+        rows.append(_row("r4", kind="corpus", nodes_expanded=2000,
+                         wall_seconds=2.4))
+        findings = find_regressions(rows)
+        assert [(f["run_id"], f["metric"]) for f in findings] == [
+            ("r4", "nodes_per_sec")
+        ]
+
+    def test_bench_suite_rows_gate_node_counts(self, tmp_path, capsys):
+        from benchmarks.bench_search_perf import main as bench_main
+
+        ledger_dir = str(tmp_path / "runs")
+        assert bench_main(["--tiny", "--ledger-dir", ledger_dir]) == 0
+        capsys.readouterr()
+        ledger = RunLedger(ledger_dir)
+        rows = ledger.runs(kind="bench")
+        suites = {row["config"]["suite"]: row for row in rows}
+        assert len(suites) == len(rows) == 6
+        solve = suites["qft4_lnn_solve"]
+        assert solve["config"] == {
+            "suite": "qft4_lnn_solve", "mode": "tiny", "pruning": "on",
+            "kernel": resolve_backend(None).name,
+        }
+        stats = solve["stats"]
+        assert stats["depth"] == 14 and stats["nodes_expanded"] > 0
+        assert stats["seconds"] > 0 and "wall_seconds" not in stats
+        assert suites["heuristic_z4_268"]["stats"]["swaps"] == 24
+        # Every suite is its own group: a first row never gates.
+        assert find_regressions(rows) == []
+        # A later row of one suite doing 5x the work is flagged.
+        planted = dict(solve, run_id="planted")
+        planted["stats"] = dict(
+            stats, nodes_expanded=stats["nodes_expanded"] * 5
+        )
+        ledger.append(planted)
+        findings = find_regressions(ledger.runs())
+        assert [(f["run_id"], f["kind"], f["ratio"]) for f in findings] == [
+            ("planted", "bench", 5.0)
+        ]
 
     def test_budget_runs_do_not_participate(self):
         rows = [
@@ -491,6 +570,8 @@ class TestLedgerCli:
         assert row["kind"] == "map" and row["status"] == "ok"
         assert row["stats"]["nodes_expanded"] > 0
         assert row["depth"] == 23 and row["optimal"] is True
+        # The resolved backend, never the flag's None default.
+        assert row["config"]["kernel"] == resolve_backend(None).name
 
     def test_deterministic_repeat_diffs_clean(self, tmp_path, capsys):
         ledger_dir = str(tmp_path / "runs")

@@ -1,10 +1,10 @@
-"""Tests for the flight-recorder runtime telemetry layer.
+"""Tests for the flight recorder runtime telemetry layer.
 
 Covers the resource sampler (record schema, GC-pause accounting and its
 interaction with ``pause_gc``), the sampling profiler (span attribution,
 collapsed-stack output), the ``JsonlSink`` reopen-truncation regression,
 finished-telemetry guards, fleet shard merging + rollup arithmetic, the
-``obs-report`` CLI, and the flight-recorder overhead gate.
+``obs-report`` CLI, and the flight recorder overhead gate.
 """
 
 import gc
